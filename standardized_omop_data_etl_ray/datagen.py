@@ -283,220 +283,3 @@ def micro_batches(events: pa.Table, batch_windows: int, window: int = 1_000):
         if c > start:
             yield events.slice(start, c - start)
             start = c
-
-
-def make_omop_fixtures(n_persons: int = 200, seed: int = 7) -> dict[str, pa.Table]:
-    """FIXTURES.md §B reference-shaped mini-tables for the composed OMOP
-    pipeline (demographics B1, subjects B2, usagi B3, medical_history B4,
-    vital_signs B6, medications).  Seeded and pure — same args →
-    byte-identical tables; dirty values (junk years, unit-less temps,
-    trailing '*' numerics, case-variant terms) are planted at fixed
-    rates, mirroring the reference's read sites."""
-    rng = np.random.default_rng(seed)
-    pids = np.array([f"P{i:04d}" for i in range(n_persons)])
-
-    demographics = pa.table(
-        {
-            "Participant_ID": pids,
-            "sex": pa.array(
-                np.where(rng.random(n_persons) < 0.05, None,
-                         rng.integers(1, 3, n_persons)).tolist(),
-                pa.int64(),
-            ),
-            "ethnic": pa.array(
-                np.where(rng.random(n_persons) < 0.05, None,
-                         rng.integers(1, 3, n_persons)).tolist(),
-                pa.int64(),
-            ),
-            "dob": pa.array(
-                np.where(rng.random(n_persons) < 0.03, None,
-                         -rng.integers(7000, 30000, n_persons)).tolist(),
-                pa.int64(),
-            ),
-            **{
-                c: pa.array(
-                    (rng.random(n_persons) < p).astype(np.int64), pa.int64()
-                )
-                for c, p in [("raceamin", 0.02), ("raceasn", 0.05),
-                             ("raceblk", 0.1), ("racenh", 0.01),
-                             ("racewt", 0.75)]
-            },
-        }
-    )
-    member = rng.random(n_persons) < 0.9
-    subjects = pa.table(
-        {
-            "Participant_ID": pids[member],
-            "subject_group_id": rng.choice(["1", "5", "11", "17"],
-                                           member.sum()).tolist(),
-        }
-    )
-    terms = ["Hypertension", "Asthma", "Diabetes", "Migraine", "ALS",
-             "Arthritis", "Depression"]
-    usagi = pa.table(
-        {
-            "sourceName": terms + ["hypertension", "Riluzole", "Baclofen"],
-            "domainId": ["Condition"] * 8 + ["Drug"] * 2,
-            "conceptId": pa.array(
-                [316866, 317009, 201820, 318736, 374923, 4291025, 440383,
-                 316867, 19006899, 19000927], pa.int64()),
-            "conceptName": terms + ["HTN-b", "riluzole", "baclofen"],
-        }
-    )
-    n_mh = n_persons * 2
-    mh_pid = rng.choice(pids, n_mh)
-    mh_terms = rng.choice(
-        terms + ["Unknown thing", "HYPERTENSION ", "asthma"], n_mh
-    )
-    years = rng.integers(1990, 2016, n_mh).astype(str)
-    junk = rng.random(n_mh) < 0.1
-    years[junk] = rng.choice(["junk", "", "1850"], junk.sum())
-    medical_history = pa.table(
-        {
-            "Participant_ID": mh_pid,
-            "medhxdsc": mh_terms,
-            "medhxyr": years.tolist(),
-        }
-    )
-
-    n_vs = n_persons * 3
-    vs_pid = rng.choice(pids, n_vs)
-    temp_c = np.round(rng.normal(37.0, 0.4, n_vs), 1)
-    use_f = rng.random(n_vs) < 0.4
-    temp_val = np.where(use_f, np.round(temp_c * 9 / 5 + 32, 1), temp_c)
-    temp_s = temp_val.astype(str)
-    dirty = rng.random(n_vs) < 0.1
-    temp_s[dirty] = np.char.add(temp_s[dirty], "*")
-    tempu = np.where(rng.random(n_vs) < 0.5, np.where(use_f, 2, 1), None)
-    vital_signs = pa.table(
-        {
-            "Participant_ID": vs_pid,
-            "vsdt": pa.array(
-                np.where(rng.random(n_vs) < 0.02, None,
-                         -rng.integers(0, 3000, n_vs)).tolist(),
-                pa.int64(),
-            ),
-            "temp": temp_s.tolist(),
-            "tempu": pa.array(tempu.tolist(), pa.int64()),
-            "bpsys": np.round(rng.normal(125, 15, n_vs), 0).astype(str).tolist(),
-            "bpdias": np.round(rng.normal(80, 10, n_vs), 0).astype(str).tolist(),
-            "hr": np.round(rng.normal(72, 10, n_vs), 0).astype(str).tolist(),
-            "rr": np.round(rng.normal(16, 2, n_vs), 0).astype(str).tolist(),
-            "weight": np.round(rng.normal(75, 12, n_vs), 1).astype(str).tolist(),
-            "weightu": pa.array(rng.integers(1, 3, n_vs).tolist(), pa.int64()),
-            "height": np.round(rng.normal(172, 9, n_vs), 1).astype(str).tolist(),
-            "heightu": pa.array([1] * n_vs, pa.int64()),
-            "bmi": np.round(rng.normal(24, 3, n_vs), 1).astype(str).tolist(),
-        }
-    )
-
-    n_rx = n_persons
-    rx_pid = rng.choice(pids, n_rx)
-    start = np.where(rng.random(n_rx) < 0.15, None,
-                     -rng.integers(0, 2000, n_rx))
-    stop = np.where(rng.random(n_rx) < 0.3, None,
-                    -rng.integers(0, 1000, n_rx))
-    medications = pa.table(
-        {
-            "Participant_ID": rx_pid,
-            "drugdsc": rng.choice(
-                ["Riluzole", "RILUZOLE", "Baclofen", "mystery tonic"], n_rx
-            ).tolist(),
-            "startdt": pa.array(start.tolist(), pa.int64()),
-            "stopdt": pa.array(stop.tolist(), pa.int64()),
-        }
-    )
-    # alsfrs_r.csv analog: 14 survey items + relative-day visit date
-    # (alsfrs_r--observation.py:28-45)
-    from .pipelines.omop import ALSFRS_CONCEPTS
-
-    n_fr = n_persons * 2
-    fr_pid = rng.choice(pids, n_fr)
-    fr_cols = {
-        "Participant_ID": fr_pid,
-        "alsfrsdt": pa.array(
-            np.where(rng.random(n_fr) < 0.02, None,
-                     -rng.integers(0, 3000, n_fr)).tolist(),
-            pa.int64(),
-        ),
-    }
-    for item in ALSFRS_CONCEPTS:
-        fr_cols[item] = pa.array(
-            np.where(rng.random(n_fr) < 0.1, None,
-                     rng.integers(0, 5, n_fr)).tolist(),
-            pa.int64(),
-        )
-    alsfrs = pa.table(fr_cols)
-
-    # aalsdxfx.csv analog: diagnostic indicators, answers in {1,2,90}
-    ind_cols = {
-        "Participant_ID": pids,
-        "alsdxdt": pa.array(
-            np.where(rng.random(n_persons) < 0.03, None,
-                     -rng.integers(0, 2000, n_persons)).tolist(),
-            pa.int64(),
-        ),
-    }
-    for c in ("alsdx1", "alsdx2", "alsdx3"):
-        ind_cols[c] = pa.array(
-            np.where(rng.random(n_persons) < 0.15, None,
-                     rng.choice([1, 2, 90], n_persons)).tolist(),
-            pa.int64(),
-        )
-    ind_cols["elescrlr"] = pa.array(
-        rng.integers(1, 6, n_persons).tolist(), pa.int64()
-    )
-    indicators = pa.table(ind_cols)
-
-    # mortality analog (mortality--death.py:25-113): subset of persons,
-    # pre-mapped cause concept (the reference reads a usagi mapping file)
-    died = rng.random(n_persons) < 0.3
-    n_dd = int(died.sum())
-    mortality = pa.table(
-        {
-            "Participant_ID": pids[died],
-            "dieddt": pa.array(
-                np.where(rng.random(n_dd) < 0.2, None,
-                         -rng.integers(0, 3000, n_dd)).tolist(),
-                pa.int64(),
-            ),
-            "diedcaus": rng.choice(
-                ["ALS", "cardiac", "unknown"], n_dd
-            ).tolist(),
-            "cause_concept_id": pa.array(
-                np.where(rng.random(n_dd) < 0.25, None,
-                         rng.choice([443392, 4306655], n_dd)).tolist(),
-                pa.int64(),
-            ),
-        }
-    )
-
-    # neurolog analog: second condition source; overlapping terms so the
-    # priority merge produces a non-trivial redundant log
-    n_nl = n_persons
-    neurolog = pa.table(
-        {
-            "Participant_ID": rng.choice(pids, n_nl),
-            "neuddsc": rng.choice(
-                terms + ["mystery sign"], n_nl
-            ).tolist(),
-            "neudxdt": pa.array(
-                np.where(rng.random(n_nl) < 0.05, None,
-                         -rng.integers(0, 3000, n_nl)).tolist(),
-                pa.int64(),
-            ),
-        }
-    )
-
-    return {
-        "demographics": demographics,
-        "subjects": subjects,
-        "usagi": usagi,
-        "medical_history": medical_history,
-        "vital_signs": vital_signs,
-        "medications": medications,
-        "alsfrs": alsfrs,
-        "indicators": indicators,
-        "mortality": mortality,
-        "neurolog": neurolog,
-    }

@@ -125,13 +125,25 @@ def sha256_hex_str(s: str) -> str:
     return hashlib.sha256(s.encode()).hexdigest()
 
 
-def sha_rollup(shas) -> str:
+def sha_rollup(shas: pa.Array | pa.ChunkedArray) -> str:
     """Partition-level lineage checksum: sha256 over the key-ordered
-    row content-shas (tombstones contribute "D").  ONE formula shared
-    by the batch writer, the actor applier and compaction — a rollup
-    must compare equal for byte-identical partition content regardless
-    of which path wrote it."""
+    row content-shas (tombstones, i.e. nulls, contribute "D").  ONE
+    formula shared by the writer and compaction — a rollup must compare
+    equal for byte-identical partition content regardless of which
+    path wrote it.
+
+    Vectorized: after the null fill, each chunk's string values sit
+    back to back in its data buffer, so hashing the byte range between
+    the chunk's first and last offsets equals hashing the rows one by
+    one (no per-row Python)."""
+    filled = pc.fill_null(shas, "D")
+    chunks = filled.chunks if isinstance(filled, pa.ChunkedArray) else [filled]
     h = hashlib.sha256()
-    for s in shas:
-        h.update((s or "D").encode())
+    for c in chunks:
+        if not len(c):
+            continue
+        _, offsets, data = c.buffers()
+        width = np.int64 if pa.types.is_large_string(c.type) else np.int32
+        offs = np.frombuffer(offsets, dtype=width)
+        h.update(memoryview(data)[offs[c.offset]:offs[c.offset + len(c)]])
     return h.hexdigest()

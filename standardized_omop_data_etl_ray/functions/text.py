@@ -262,11 +262,6 @@ def simhash64(token_hashes: np.ndarray) -> np.uint64:
     return fp
 
 
-def hamming64(a: np.ndarray, b: np.uint64) -> np.ndarray:
-    x = np.bitwise_xor(a, b)
-    return np.unpackbits(x.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
-
-
 def jaccard(a: set, b: set) -> float:
     if not a and not b:
         return 1.0

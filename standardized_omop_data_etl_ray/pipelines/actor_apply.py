@@ -2,9 +2,11 @@
 key index + watermark (the north star's "actor pools holding
 per-partition state").
 
-This is the INCREMENTAL apply path, complementary to the batch path in
-pipelines/cdc.py (which re-resolves LWW per epoch inside a shuffle):
-each ``PartitionApplier`` actor owns a set of hash partitions and keeps
+This is the INCREMENTAL phase-1 strategy of ``CDCLake`` (whose batch
+phase 1 re-resolves LWW per epoch inside a shuffle): ``ActorLake``
+overrides only phase 1, so schema evolution, the commit record and the
+two-phase manifest commit are the batch path's.  Each
+``PartitionApplier`` actor owns a set of hash partitions and keeps
 their key→(lsn, dead) index hot across micro-batches, so per-epoch work
 is proportional to the epoch's events, not to epoch count × state size
 — and a KEY-level stale event is rejected even when the partition
@@ -28,10 +30,14 @@ mutations back so the events are re-accepted and the (deterministic)
 delta files are rewritten.  Without that, the retry would reject the
 whole epoch as duplicate and commit it empty (silent data loss).
 
+Writes: an applier keeps the actor-specific work (key index, watermark
+filter, LWW reduce, ``accept_mask``) and hands the accepted rows to the
+batch path's ``_delta_writer``, so actor-written files carry the same
+bloom sidecars, zone maps, markers and partition checksum.
+
 Fault story: actors are stateless-recoverable — `__init__` rebuilds the
 index from the last committed manifest's delta files; an actor lost
 mid-epoch is rebuilt and the epoch re-sent (idempotent at key level).
-The same two-phase manifest commit (state/manifest.py) applies.
 """
 
 from __future__ import annotations
@@ -47,10 +53,11 @@ import ray
 import ray.data as rd
 
 from ..spec import TableSpec
-from ..stages.merge import _partial
+from ..stages.merge import _partial, lww_reduce_table
 from ..stages.standardize import make_standardizer
 from ..state import manifest as mf
 from ..state.keyindex import KeyIndex
+from .cdc import CDCLake, _delta_writer
 
 
 @ray.remote
@@ -64,8 +71,7 @@ class PartitionApplier:
         from ..state.keyindex import SpillableKeyIndex
 
         tune_worker_threads()
-        self.root, self.spec = root, spec
-        self.table = spec.name
+        self.root, self.table = root, spec.name
         self.my_parts = [
             p for p in range(spec.num_partitions) if p % pool_size == pool_idx
         ]
@@ -97,9 +103,12 @@ class PartitionApplier:
                     self.index[p].watermark, pinfo["watermark"]
                 )
 
-    def apply(self, part: int, batches: list, epoch: int) -> dict:
+    def apply(self, part: int, batches: list, epoch: int,
+              spec: TableSpec) -> list[dict]:
         """Apply one epoch's (combined) events for one partition: accept
-        key-level winners, write the delta file + phase-1 marker.
+        key-level winners and hand them to the shared delta writer.
+        Returns its ``_STATS_SCHEMA`` rows (none when nothing was
+        accepted), so phase 2 is the batch path's ``_commit``.
 
         ``batches`` may hold ObjectRefs (the routed path) or pa.Tables.
         """
@@ -121,40 +130,14 @@ class PartitionApplier:
         # relative to this epoch (an uncommitted retry was just rolled
         # back), so anything at or below it is a redelivery.
         if idx.watermark >= 0:
-            lsns = table.column(self.spec.lsn_col)
+            lsns = table.column(spec.lsn_col)
             table = table.filter(pc.greater(lsns, idx.watermark))
-        from ..stages.merge import lww_reduce_table
-
-        table = lww_reduce_table(table, self.spec.key_cols, self.spec.lsn_col)
-        mask = idx.accept_mask(table)
-        delta = table.filter(pa.array(mask))
-        delta = delta.sort_by([(c, "ascending") for c in self.spec.key_cols])
-        n_dead = pc.sum(
-            pc.cast(pc.equal(delta.column(self.spec.op_col), "D"), pa.int64())
-        ).as_py() or 0
-        info = {
-            "part": part, "epoch": epoch, "rows": delta.num_rows,
-            "tombstones": int(n_dead),
-            "watermark": idx.watermark,
-            "events_seen": table.num_rows,
-            "live_keys": len(idx),
-        }
-        if delta.num_rows:
-            pdir = Path(self.root) / self.table / f"part={part:05d}" / f"epoch={epoch:06d}"
-            pdir.mkdir(parents=True, exist_ok=True)
-            fpath = pdir / "delta.parquet"
-            tmp = pdir / "delta.parquet.tmp"
-            pq.write_table(delta, tmp)
-            tmp.replace(fpath)
-            info["file"] = str(fpath.relative_to(Path(self.root) / self.table))
-            info["bytes"] = fpath.stat().st_size
-            from ..functions.hashing import sha_rollup
-
-            info["sha_rollup"] = sha_rollup(
-                delta.column("content_sha").to_pylist()
-            )
-            mf.write_marker(self.root, self.table, epoch, part, info)
-        return info
+        table = lww_reduce_table(table, spec.key_cols, spec.lsn_col)
+        delta = table.filter(pa.array(idx.accept_mask(table)))
+        if not delta.num_rows:
+            return []
+        write_group = _delta_writer(self.root, spec.name, epoch, spec)
+        return write_group(delta).to_pylist()
 
     def live_key_count(self) -> int:
         return sum(len(ix) for ix in self.index.values())
@@ -179,30 +162,26 @@ def _route_block(block: pa.Table, num_partitions: int) -> list:
     return [present] + out
 
 
-class ActorLake:
-    """Incremental CDC lake driven by a stateful applier pool."""
+class ActorLake(CDCLake):
+    """Incremental CDC lake whose phase 1 runs on a stateful applier
+    pool; schema evolution, the record and phase 2 are ``CDCLake``'s.
+
+    Compaction stays manual (``auto_compact_files=None``).  The pool
+    reloads from the committed manifest whenever that manifest has
+    moved past the epoch the pool last loaded or committed — after a
+    compaction (which drops tombstones the live index still holds),
+    any DDL/layout verb, or a commit by another writer on the root."""
 
     def __init__(self, root: str, spec: TableSpec | None = None,
                  pool_size: int = 4, spill_threshold: int | None = None):
-        self.root = str(root)
-        self.spec = spec or TableSpec(name="cdc")
-        self.spill_threshold = spill_threshold
-        m = mf.read_manifest(self.root, self.spec.name)
-        if m is not None:
-            # restore persisted schema (minus engine columns) + partitioning
-            state_schema = mf.schema_from_b64(m["schema"])
-            engine_cols = {"content_sha", "key_hash", "part"}
-            self.spec.schema = pa.schema(
-                [f for f in state_schema if f.name not in engine_cols]
-            )
-            self.spec.num_partitions = m["num_partitions"]
+        super().__init__(root, spec, auto_compact_files=None)
         self.pool_size = pool_size
-        self.pool = [
-            PartitionApplier.remote(
-                self.root, self.spec, i, pool_size, self.spill_threshold,
-            )
-            for i in range(pool_size)
-        ]
+        self.spill_threshold = spill_threshold
+        # epoch of phase-1 index mutations not yet committed: an
+        # in-process retry reuses its number (see _alloc_epoch)
+        self._pending_epoch: int | None = None
+        self.pool: list = []
+        self.rebuild_pool()
 
     def kill_pool(self) -> None:
         """Failure injection: lose all actor state."""
@@ -212,6 +191,9 @@ class ActorLake:
 
     def rebuild_pool(self) -> None:
         """Recovery: fresh actors rebuild indexes from the manifest."""
+        self.kill_pool()
+        m = mf.read_manifest(self.root, self.spec.name)
+        self._pool_epoch = m["epoch"] if m else 0
         self.pool = [
             PartitionApplier.remote(
                 self.root, self.spec, i, self.pool_size, self.spill_threshold,
@@ -219,47 +201,74 @@ class ActorLake:
             for i in range(self.pool_size)
         ]
 
+    def _alloc_epoch(self) -> int:
+        """Epoch numbering must satisfy BOTH contracts: the appliers'
+        exactly-once-under-retry rollback keys on epoch-number REUSE
+        (``KeyIndex.begin_epoch``), while cross-process safety demands
+        CLAIMED numbers.  So the still-unused number of an uncommitted
+        apply is handed out again (the claim is already ours); once any
+        commit has used it, a fresh number is claimed — that commit
+        moved the manifest past the pool, so the pool reloads."""
+        pending = self._pending_epoch
+        if pending is not None:
+            m = mf.read_manifest(self.root, self.spec.name)
+            if pending > (max(m["epoch"], m.get("epoch_hwm", 0)) if m else 0):
+                self._renew_writer()
+                return pending
+        return super()._alloc_epoch()
+
     def apply_events(self, events: rd.Dataset,
                      _fail_before_commit: bool = False) -> dict:
-        if getattr(self.spec, "patch_ops", False):
+        if self.spec.patch_ops:
             raise NotImplementedError(
                 "op='P' partial updates are supported on the CDCLake "
                 "apply path only — the actor key-index path reduces to "
                 "one winner per key and would drop patch rows"
             )
-        m = mf.read_manifest(self.root, self.spec.name)
-        # Epoch numbering must satisfy BOTH contracts (review finding):
-        # the appliers' exactly-once-under-retry rollback keys on
-        # epoch-number REUSE, while cross-process safety (a concurrent
-        # maintenance writer on the same root) demands CLAIMED numbers.
-        # So: an in-process retry of a still-uncommitted epoch reuses
-        # its number (the claim is already ours); a fresh epoch claims
-        # a new one.
-        pending = getattr(self, "_pending_epoch", None)
-        if pending is not None:
-            epoch = pending
-        else:
-            epoch = mf.claim_epoch(self.root, self.spec.name,
-                                   (m["epoch"] + 1) if m else 1)
+        record = super().apply_events(
+            events, _fail_before_commit=_fail_before_commit)
+        if record["committed"]:
+            self._pending_epoch = None
+            self._pool_epoch = record["epoch"]
+        return record
+
+    def apply_stream(self, windows, **kw) -> list[dict]:
+        raise NotImplementedError(
+            "ActorLake applies one epoch at a time (apply_events); "
+            "pipelined streams run on CDCLake.apply_stream"
+        )
+
+    def _epoch_record(self, epoch: int, stats: list[dict], t0: float,
+                      commit_wait: float = 0.0) -> dict:
+        record = super()._epoch_record(epoch, stats, t0, commit_wait)
+        record["live_keys"] = int(sum(
+            ray.get([a.live_key_count.remote() for a in self.pool])
+        ))
+        return record
+
+    def _phase1(self, events: rd.Dataset, epoch: int, wm: np.ndarray,
+                salt_factor: int = 0,
+                spec: TableSpec | None = None) -> list[dict]:
+        """Standardize + per-block combine as a streaming Ray Data
+        pipeline, then route each block's partition slices to their
+        owning applier.  The partition watermark filter runs in the
+        applier against its index (``wm`` is not needed)."""
+        spec = spec or self.spec
+        m = mf.read_manifest(self.root, spec.name)
+        if (m["epoch"] if m else 0) != self._pool_epoch:
+            self.rebuild_pool()
         self._pending_epoch = epoch
 
-        # schema evolution: unify the incoming event schema (add/widen
-        # allowed, narrowing rejected) before standardize pads to target
-        incoming = events.schema()
-        self.spec.schema = self.spec.evolve(self.spec.apply_rename(
-            pa.schema(list(zip(incoming.names, incoming.types)))
-        ))
-
         std = events.map_batches(
-            make_standardizer(self.spec), batch_format="pyarrow"
-        ).map_batches(_partial(self.spec), batch_format="pyarrow")
+            make_standardizer(spec), batch_format="pyarrow"
+        ).map_batches(_partial(spec), batch_format="pyarrow")
 
         # route blocks to partition owners; only ref handles reach the
         # driver — the partition slices stay in the object store.  Ref
         # bundles are consumed AS THE PIPELINE STREAMS, so routing tasks
         # overlap the standardize/combine stages instead of waiting for
         # full materialization.
-        P = self.spec.num_partitions
+        P = spec.num_partitions
         routed = []
         for bundle in std.iter_internal_ref_bundles():
             for ref in bundle.block_refs:
@@ -271,94 +280,8 @@ class ActorLake:
             for p in ray.get(refs[0]):  # tiny presence list only
                 by_part.setdefault(p, []).append(refs[1 + p])
 
-        futs = []
-        for p, refs in by_part.items():
-            owner = self.pool[p % self.pool_size]
-            futs.append(owner.apply.remote(p, refs, epoch))
-        stats = [s for s in ray.get(futs) if "file" in s or s["events_seen"]]
-
-        record = {
-            "epoch": epoch,
-            "partitions_touched": len([s for s in stats if "file" in s]),
-            "rows_upserted": sum(
-                s["rows"] - s["tombstones"] for s in stats if "file" in s
-            ),
-            "tombstones": sum(s["tombstones"] for s in stats if "file" in s),
-            "events_seen": sum(s["events_seen"] for s in stats),
-            "live_keys": int(sum(
-                ray.get([a.live_key_count.remote() for a in self.pool])
-            )),
-        }
-        if _fail_before_commit:
-            record["committed"] = False
-            return record
-        self._commit(m, epoch, [s for s in stats if "file" in s], record)
-        self._pending_epoch = None  # committed: the next epoch is fresh
-        record["committed"] = True
-        return record
-
-    def _commit(self, prev, epoch, stats, record):
-        # fold under the cross-process lock against the manifest
-        # re-read inside it (same rebase rule as CDCLake._commit): a
-        # concurrent maintenance commit's files survive
-        with mf.commit_lock(self.root, self.spec.name):
-            prev = mf.read_manifest(self.root, self.spec.name) or prev
-            self._commit_fold(prev, epoch, stats, record)
-
-    def _commit_fold(self, prev, epoch, stats, record):
-        partitions = dict(prev["partitions"]) if prev else {}
-        lineage = list(prev.get("lineage", [])) if prev else []
-        for s in stats:
-            p = str(s["part"])
-            old = partitions.get(p, {"files": [], "watermark": -1, "rows": 0})
-            partitions[p] = {
-                "files": old["files"] + [s["file"]],
-                "watermark": max(old["watermark"], s["watermark"]),
-                "rows": old["rows"] + s["rows"],
-                "sha_rollup": s.get("sha_rollup"),
-            }
-        lineage.append(record)
-        from .cdc import CDCLake  # reuse the state schema derivation
-
-        schema_holder = CDCLake.__new__(CDCLake)
-        schema_holder.spec = self.spec
-        manifest = {
-            "table": self.spec.name,
-            "epoch": epoch,
-            "num_partitions": self.spec.num_partitions,
-            "schema": mf.schema_to_b64(schema_holder._state_schema()),
-            "partitions": partitions,
-            "lineage": lineage,
-            "compacted": False,
-        }
-        mf.commit_manifest(self.root, self.spec.name, manifest)
-
-    def _as_cdclake(self):
-        from .cdc import CDCLake
-
-        lake = CDCLake.__new__(CDCLake)
-        lake.root, lake.spec = self.root, self.spec
-        return lake
-
-    def read_state(self, drop_engine_cols: bool = False) -> rd.Dataset:
-        return self._as_cdclake().read_state(drop_engine_cols)
-
-    def compact(self, max_files: int | None = None) -> dict:
-        """Same COW compaction as the batch lake (shared manifests),
-        then rebuild the pool so actor recovery reads the compacted file
-        set.  Compaction drops tombstones from rewritten files; rebuilt
-        indexes therefore forget delete LSNs, which is safe only because
-        apply() also rejects rows at or below the recovered partition
-        watermark (see the filter in PartitionApplier.apply)."""
-        record = self._as_cdclake().compact(max_files)
-        self.rebuild_pool()
-        return record
-
-    def gc(self) -> list[str]:
-        return self._as_cdclake().gc()
-
-    def lineage(self) -> list[dict]:
-        return self._as_cdclake().lineage()
-
-    def partition_metrics(self) -> pa.Table:
-        return self._as_cdclake().partition_metrics()
+        futs = [
+            self.pool[p % self.pool_size].apply.remote(p, refs, epoch, spec)
+            for p, refs in by_part.items()
+        ]
+        return [row for rows in ray.get(futs) for row in rows]

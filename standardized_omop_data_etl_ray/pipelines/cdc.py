@@ -45,7 +45,7 @@ from ..functions import hashing
 from ..spec import TableSpec
 from ..stages.merge import (drop_tombstones, lww_reduce_table,
                             patch_reduce_table)
-from ..stages.standardize import make_sha_appender, make_standardizer
+from ..stages.standardize import make_standardizer
 from ..state import bloom
 from ..state import manifest as mf
 
@@ -274,7 +274,7 @@ def _delta_writer(root: str, table: str, epoch: int, spec: TableSpec,
         pdir.mkdir(parents=True, exist_ok=True)
         # partition-level content checksum (lineage): sha over the
         # key-ordered row shas — slicing-invariant by construction
-        roll = hashing.sha_rollup(delta.column("content_sha").to_pylist())
+        roll = hashing.sha_rollup(delta.column("content_sha"))
         if cluster_by:
             delta = _cluster_reorder(delta, list(cluster_by),
                                      cluster_order, key_cols)
@@ -880,63 +880,6 @@ class CDCLake:
 
     # -- write path -------------------------------------------------------
 
-    def _compute_winners(self, narrow: rd.Dataset, lsn_col: str = "lsn"):
-        """Per-key winning lsn from a narrow (keys, lsn) dataset; returns
-        a ray ObjectRef of sorted (key_hash[], lsn[]) arrays, or None for
-        an empty epoch.  The winner set is bounded by keys-touched-this-
-        epoch (operationally bounded in a tailing deployment).
-
-        Measured (BENCH): even with the narrow pass content-free and the
-        sha deferred to winners, mode='winners' ran ~10-20% slower than
-        'full' at both 400 B and 8 KB contents in-sandbox — the full
-        path's per-block combiner already reduces the shuffle to ≤1 row
-        per key per block, so the extra read pass doesn't pay here.  The
-        mode remains for genuinely wide payloads (≥100 KB rows) where
-        shuffle bytes dominate the second scan."""
-        import ray
-
-        def partial_max(t: pa.Table) -> pa.Table:
-            kh = t.column("key_hash").to_numpy(zero_copy_only=False)
-            ls = t.column(lsn_col).to_numpy(zero_copy_only=False)
-            order = np.lexsort((-ls, kh))
-            khs, lss = kh[order], ls[order]
-            first = np.ones(len(khs), dtype=bool)
-            first[1:] = khs[1:] != khs[:-1]
-            return pa.table(
-                {"key_hash": pa.array(khs[first], pa.uint64()),
-                 lsn_col: pa.array(lss[first], pa.int64())}
-            )
-
-        partials = narrow.map_batches(partial_max, batch_format="pyarrow")
-        tabs = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-        if not tabs:
-            return None
-        allw = pa.concat_tables(tabs)
-        wk = allw.column("key_hash").to_numpy(zero_copy_only=False)
-        wl = allw.column(lsn_col).to_numpy(zero_copy_only=False)
-        order = np.lexsort((-wl, wk))
-        wk, wl = wk[order], wl[order]
-        first = np.ones(len(wk), dtype=bool)
-        first[1:] = wk[1:] != wk[:-1]
-        return ray.put((wk[first], wl[first]))
-
-    def _keep_winners(self, ev: rd.Dataset, ref, lsn_col: str = "lsn") -> rd.Dataset:
-        if ref is None:
-            return ev  # empty epoch
-
-        def keep_winners(t: pa.Table) -> pa.Table:
-            from ..stages.joins import _cached_get
-
-            wk_, wl_ = _cached_get(ref)
-            kh = t.column("key_hash").to_numpy(zero_copy_only=False)
-            ls = t.column(lsn_col).to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(wk_, kh)
-            pos = np.clip(pos, 0, len(wk_) - 1)
-            keep = (wk_[pos] == kh) & (wl_[pos] == ls)
-            return t.filter(pa.array(keep))
-
-        return ev.map_batches(keep_winners, batch_format="pyarrow")
-
     def bootstrap_from_parquet(
         self, paths: str | list[str], seed_lsn: int = 0, op: str = "I"
     ) -> dict:
@@ -981,12 +924,8 @@ class CDCLake:
         self._renew_writer()
         m = mf.read_manifest(self.root, self.spec.name)
         committed = max(m["epoch"], m.get("epoch_hwm", 0)) if m else 0
-        # getattr: the actor path borrows this class via __new__ for
-        # shared read/compact paths without running __init__
-        nxt = mf.claim_epoch(
-            self.root, self.spec.name,
-            max(committed, getattr(self, "_epoch_hwm", 0)) + 1,
-        )
+        nxt = mf.claim_epoch(self.root, self.spec.name,
+                             max(committed, self._epoch_hwm) + 1)
         self._epoch_hwm = nxt
         return nxt
 
@@ -1066,7 +1005,7 @@ class CDCLake:
         """A DDL-dropped column must not re-enter via schema evolution:
         strip it (and its pre-rename source name) from arriving events
         before any schema probe."""
-        if not getattr(self, "dropped_cols", None):
+        if not self.dropped_cols:
             return events
         from ..stages.joins import _as_arrow_schema
 
@@ -1078,12 +1017,32 @@ class CDCLake:
         })
         return events.drop_columns(todrop) if todrop else events
 
+    def _epoch_record(self, epoch: int, stats: list[dict], t0: float,
+                      commit_wait: float = 0.0) -> dict:
+        """The one lineage-record builder for a data epoch, shared by
+        ``apply_events`` and ``apply_stream``.  ``commit_wait`` is the
+        time the ordered committer blocked on the epoch's phase-1
+        future (0 when phase 1 ran inline); the caller adds
+        ``commit_sec`` and ``committed`` once phase 2 is done."""
+        record = {
+            "epoch": epoch,
+            "partitions_touched": len(stats),
+            "rows_upserted": int(sum(s["rows"] - s["tombstones"] for s in stats)),
+            "tombstones": int(sum(s["tombstones"] for s in stats)),
+            "rows_gated": int(sum(s.get("gated", 0) for s in stats)),
+            "events_seen": int(sum(s["events_seen"] for s in stats)),
+            "wall_sec": round(time.time() - t0, 3),
+            "commit_wait_sec": round(commit_wait, 3),
+        }
+        if self.dead_letter:
+            record["rows_dead_lettered"] = self._dlq_rows(epoch)
+        return record
+
     def apply_events(
         self,
         events: rd.Dataset,
         *,
         salt_factor: int = 0,
-        shuffle_mode: str = "full",
         txn: "LakeTransaction | None" = None,
         _fail_before_commit: bool = False,
     ) -> dict:
@@ -1105,24 +1064,15 @@ class CDCLake:
         inc_schema = self.spec.apply_rename(_as_arrow_schema(events.schema()))
         self.spec.schema = self.spec.evolve(inc_schema)
 
-        stats = self._phase1(events, epoch, self._watermarks(m),
-                             salt_factor, shuffle_mode)
-        record = {
-            "epoch": epoch,
-            "partitions_touched": len(stats),
-            "rows_upserted": int(sum(s["rows"] - s["tombstones"] for s in stats)),
-            "tombstones": int(sum(s["tombstones"] for s in stats)),
-            "rows_gated": int(sum(s.get("gated", 0) for s in stats)),
-            "events_seen": int(sum(s["events_seen"] for s in stats)),
-            "wall_sec": round(time.time() - t0, 3),
-        }
-        if self.dead_letter:
-            record["rows_dead_lettered"] = self._dlq_rows(epoch)
+        stats = self._phase1(events, epoch, self._watermarks(m), salt_factor)
+        record = self._epoch_record(epoch, stats, t0)
         if _fail_before_commit:  # test hook: die between phase 1 and 2
             record["committed"] = False
             return record
 
+        t_commit = time.time()
         self._commit(m, epoch, stats, record, txn=txn)
+        record["commit_sec"] = round(time.time() - t_commit, 3)
         if txn is not None:
             record["committed"] = False  # until txn.commit()
             txn._track(record)
@@ -1137,7 +1087,6 @@ class CDCLake:
         *,
         max_inflight: int | str = 2,
         salt_factor: int = 0,
-        shuffle_mode: str = "full",
     ) -> list[dict]:
         """Apply a stream of micro-batch windows with CROSS-EPOCH
         PIPELINING: up to ``max_inflight`` epochs run phase 1 (read →
@@ -1227,8 +1176,7 @@ class CDCLake:
                 spec_snap = _dc_replace(self.spec)  # freeze per-window
                 epoch = self._alloc_epoch()
                 fut = ex.submit(
-                    self._phase1, w, epoch, wm.copy(),
-                    salt_factor, shuffle_mode, spec_snap,
+                    self._phase1, w, epoch, wm.copy(), salt_factor, spec_snap,
                 )
                 pending.append((epoch, fut, time.time(), spec_snap))
                 while len(pending) >= limit:
@@ -1247,18 +1195,7 @@ class CDCLake:
         # the commit lock anyway (review finding — manifests carry
         # per-file zone maps and grow; a redundant parse per epoch is
         # real cost on the ordered-commit hot path)
-        record = {
-            "epoch": epoch,
-            "partitions_touched": len(stats),
-            "rows_upserted": int(sum(s["rows"] - s["tombstones"] for s in stats)),
-            "tombstones": int(sum(s["tombstones"] for s in stats)),
-            "rows_gated": int(sum(s.get("gated", 0) for s in stats)),
-            "events_seen": int(sum(s["events_seen"] for s in stats)),
-            "wall_sec": round(time.time() - t0, 3),
-            "commit_wait_sec": round(commit_wait, 3),
-        }
-        if self.dead_letter:
-            record["rows_dead_lettered"] = self._dlq_rows(epoch)
+        record = self._epoch_record(epoch, stats, t0, commit_wait)
         # commit with the epoch's OWN spec snapshot: the live spec may
         # already carry columns from still-uncommitted in-flight windows
         self._commit(None, epoch, stats, record, spec_snap)
@@ -1287,11 +1224,13 @@ class CDCLake:
         epoch: int,
         wm: np.ndarray,
         salt_factor: int = 0,
-        shuffle_mode: str = "full",
         spec: TableSpec | None = None,
     ) -> list[dict]:
         """Phase 1 of one epoch: standardize → combine → shuffle →
         per-partition delta writes + markers.  No manifest access.
+        Returns ``_STATS_SCHEMA`` rows (one per written file), the only
+        input phase 2 (``_commit``) needs — a subclass may write the
+        same rows by another route (``ActorLake``).
 
         ``spec`` is the PER-EPOCH spec snapshot: apply_stream evolves the
         shared spec on the driver thread while earlier windows are still
@@ -1305,63 +1244,27 @@ class CDCLake:
                                       self.constraints),
                 batch_format="pyarrow",
             )
-        raw_events = events
         if self.gate is not None:
             events = events.map_batches(self.gate, batch_format="pyarrow")
         P = spec.num_partitions
         writer = _delta_writer(self.root, spec.name, epoch, spec)
-        if shuffle_mode == "winners" and spec.patch_ops:
-            raise ValueError(
-                "shuffle_mode='winners' keeps only each key's max-lsn "
-                "row and would drop patch rows — use the default "
-                "'full' path with patch_ops"
-            )
-        if shuffle_mode == "winners":
-            # winner-only path: (1) NARROW pass over (keys, lsn) only —
-            # content never read, no sha — to find each key's winning
-            # lsn; (2) main pass keeps only winners, hashes only them.
-            # The curation gate is SKIPPED on the narrow pass: it only
-            # rewrites op/payload, never keys or lsn, so winners are
-            # identical — and running it here would read content in the
-            # pass whose whole point is to never touch content.
-            key_cols = list(spec.key_cols)
-            narrow = raw_events.select_columns(
-                key_cols + [spec.lsn_col]
-            ).map_batches(
-                make_standardizer(spec, with_content_sha=False),
+        std = events.map_batches(
+            make_standardizer(spec), batch_format="pyarrow"
+        ).map_batches(
+            _watermark_filter(wm, spec.lsn_col), batch_format="pyarrow"
+        )
+        # per-block combiner: the shuffle moves per-key partials
+        if spec.patch_ops:
+            ev = std.map_batches(
+                lambda b: patch_reduce_table(
+                    b, spec.key_cols, spec.lsn_col, spec.op_col),
                 batch_format="pyarrow",
-            ).map_batches(
-                _watermark_filter(wm, spec.lsn_col), batch_format="pyarrow"
-            )
-            winner_ref = self._compute_winners(narrow, spec.lsn_col)
-            std = events.map_batches(
-                make_standardizer(spec, with_content_sha=False),
-                batch_format="pyarrow",
-            ).map_batches(
-                _watermark_filter(wm, spec.lsn_col), batch_format="pyarrow"
-            )
-            ev = self._keep_winners(std, winner_ref, spec.lsn_col).map_batches(
-                make_sha_appender(spec), batch_format="pyarrow"
             )
         else:
-            std = events.map_batches(
-                make_standardizer(spec), batch_format="pyarrow"
-            ).map_batches(
-                _watermark_filter(wm, spec.lsn_col), batch_format="pyarrow"
+            ev = std.map_batches(
+                lambda b: lww_reduce_table(b, spec.key_cols, spec.lsn_col),
+                batch_format="pyarrow",
             )
-            # per-block combiner: the shuffle moves per-key partials
-            if spec.patch_ops:
-                ev = std.map_batches(
-                    lambda b: patch_reduce_table(
-                        b, spec.key_cols, spec.lsn_col, spec.op_col),
-                    batch_format="pyarrow",
-                )
-            else:
-                ev = std.map_batches(
-                    lambda b: lww_reduce_table(b, spec.key_cols,
-                                               spec.lsn_col),
-                    batch_format="pyarrow",
-                )
         if salt_factor > 1:
             from ..stages.merge import add_salt, _group_final
 
@@ -1479,7 +1382,7 @@ class CDCLake:
         # pointer swap (no-op when leases are off)
         self._renew_writer()
         dropped_union = (set((prev or {}).get("dropped_cols", []))
-                         | set(getattr(self, "dropped_cols", set())))
+                         | self.dropped_cols)
         state_schema = self._state_schema(spec)
         if prev is not None:
             # rebase: a concurrent writer may have evolved columns this
@@ -2719,8 +2622,7 @@ class CDCLake:
         spec.num_partitions = manifest["num_partitions"]
         self.dropped_cols = set(manifest.get("dropped_cols", []))
         spec.rename = _merge_ddl_renames(
-            getattr(self, "_user_rename", dict(spec.rename)),
-            manifest.get("renamed_cols", {}))
+            self._user_rename, manifest.get("renamed_cols", {}))
         return record
 
     def drop_column(self, col: str) -> dict:
@@ -2756,7 +2658,7 @@ class CDCLake:
         if col not in spec.schema.names:
             raise ValueError(f"no such column: {col!r}")
         spec.schema = pa.schema([f for f in spec.schema if f.name != col])
-        self.dropped_cols = set(getattr(self, "dropped_cols", set())) | {col}
+        self.dropped_cols = self.dropped_cols | {col}
         if m is None:
             # nothing committed yet — narrowing the spec is the whole op
             return {"epoch": 0, "ddl": "drop_column", "col": col,
@@ -2852,8 +2754,7 @@ class CDCLake:
             spec.schema = _ren_schema(spec.schema)
             # a previously-dropped column whose name is being reused is
             # live again — stop stripping it from arriving events
-            self.dropped_cols = set(
-                getattr(self, "dropped_cols", set())) - {new}
+            self.dropped_cols = self.dropped_cols - {new}
             spec.rename = _merge_ddl_renames(spec.rename, {old: new})
 
         m = mf.read_manifest(self.root, spec.name)
@@ -2969,7 +2870,7 @@ class CDCLake:
                 "engine column")
         if col in spec.schema.names:
             raise ValueError(f"column {col!r} already exists")
-        if col in getattr(self, "_user_rename", {}):
+        if col in self._user_rename:
             # the USER's ingest-time rename map would silently reroute
             # every arriving event named `col` onto its target — the
             # new column would never receive data.  That map is spec
@@ -2988,8 +2889,7 @@ class CDCLake:
 
         def _sync_spec():
             spec.schema = _add_schema(spec.schema)
-            self.dropped_cols = set(
-                getattr(self, "dropped_cols", set())) - {col}
+            self.dropped_cols = self.dropped_cols - {col}
             # a rename_column SOURCE being re-added is a real column
             # again — clear the DDL rename entry or arriving events
             # named `col` would keep landing on the rename target
@@ -3000,7 +2900,7 @@ class CDCLake:
 
         m = mf.read_manifest(self.root, spec.name)
         dropped_now = (set(m.get("dropped_cols", [])) if m
-                       else set(getattr(self, "dropped_cols", set())))
+                       else set(self.dropped_cols))
         if m is None:
             _sync_spec()
             return {"epoch": 0, "ddl": "add_column", "col": col,

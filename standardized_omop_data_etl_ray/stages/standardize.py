@@ -25,12 +25,10 @@ from ..functions.hashing import key_hash_u64, partition_of, sha256_hex
 from ..spec import TableSpec
 
 
-def make_standardizer(spec: TableSpec, with_content_sha: bool = True):
+def make_standardizer(spec: TableSpec):
     """Return a batch fn (pa.Table -> pa.Table) for ``spec``.
 
     Use as ``ds.map_batches(make_standardizer(spec), batch_format="pyarrow")``.
-    ``with_content_sha=False`` skips the (expensive) sha — used by the
-    winner-only shuffle path, which defers hashing to the winning rows.
     """
     rename = dict(spec.rename)
     key_cols = list(spec.key_cols)
@@ -67,28 +65,14 @@ def make_standardizer(spec: TableSpec, with_content_sha: bool = True):
             )
             batch = batch.cast(new_schema)
         kh = key_hash_u64(*[batch.column(c) for c in key_cols])
-        if with_content_sha:
-            batch = batch.append_column(
-                "content_sha", sha256_hex(batch.column(content_col))
-            )
+        batch = batch.append_column(
+            "content_sha", sha256_hex(batch.column(content_col))
+        )
         batch = batch.append_column("key_hash", kh)
         batch = batch.append_column("part", partition_of(kh, num_parts))
         return batch
 
     return standardize
-
-
-def make_sha_appender(spec: TableSpec):
-    """Deferred content-sha stage (pairs with
-    ``make_standardizer(spec, with_content_sha=False)``)."""
-    content_col = spec.content_col
-
-    def add_sha(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "content_sha", sha256_hex(batch.column(content_col))
-        )
-
-    return add_sha
 
 
 def make_curation_gate(spec: TableSpec, predicate):

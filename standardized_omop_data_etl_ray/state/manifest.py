@@ -240,19 +240,6 @@ def write_marker(root: str | Path, table: str, epoch: int, part: int, info: dict
     os.replace(tmp, mdir / name)
 
 
-def read_markers(root: str | Path, table: str, epoch: int) -> dict[int, dict]:
-    mdir = table_root(root, table) / "_markers"
-    out: dict[int, dict] = {}
-    if not mdir.exists():
-        return out
-    prefix = f"epoch-{epoch:06d}.part-"
-    for p in mdir.glob(prefix + "*.json"):
-        with open(p) as f:
-            info = json.load(f)
-        out[int(info["part"])] = info
-    return out
-
-
 def live_files(root: str | Path, table: str, manifest: dict) -> list[str]:
     troot = table_root(root, table)
     files: list[str] = []

@@ -16,6 +16,7 @@ from standardized_omop_data_etl_ray.functions import text as T
 from standardized_omop_data_etl_ray.functions.hashing import (
     key_hash_u64,
     sha256_hex,
+    sha_rollup,
 )
 
 
@@ -29,6 +30,36 @@ def test_sha256_matches_hashlib():
             assert h is None
         else:
             assert h == hashlib.sha256(v.encode()).hexdigest()
+
+
+def test_sha_rollup_matches_row_loop():
+    """The buffer-range rollup equals the per-row formula (sha256 over
+    each row's sha, "D" for a null) on chunked, sliced and null-bearing
+    input, for both string offset widths."""
+    import hashlib
+
+    def row_loop(vals):
+        h = hashlib.sha256()
+        for v in vals:
+            h.update((v or "D").encode())
+        return h.hexdigest()
+
+    shas = [None if i % 7 == 3 else hashlib.sha256(str(i).encode()).hexdigest()
+            for i in range(500)]
+    chunked = pa.chunked_array([pa.array(shas[:180]), pa.array(shas[180:]),
+                                pa.array([], pa.string())])
+    cases = [
+        pa.array(shas),
+        chunked,
+        chunked.slice(37, 301),
+        pa.array(shas).slice(11, 5),
+        pa.array(shas, pa.large_string()).slice(3, 200),
+        pa.array([None, None], pa.string()),
+        pa.array([], pa.string()),
+        pa.chunked_array([], pa.string()),
+    ]
+    for arr in cases:
+        assert sha_rollup(arr) == row_loop(arr.to_pylist())
 
 
 def test_key_hash_stable():

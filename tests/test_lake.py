@@ -215,20 +215,6 @@ def test_partial_compaction_size_tiered(tmp_path):
     assert canonical_state(_state(lake)).equals(pre)
 
 
-def test_winner_only_shuffle_matches(tmp_path):
-    """shuffle_mode='winners' (narrow lsn pre-shuffle + winner broadcast)
-    must produce the identical lake state, including replay no-ops."""
-    a = CDCLake(tmp_path / "a", _spec(8))
-    b = CDCLake(tmp_path / "b", _spec(8))
-    for batch in BATCHES:
-        a.apply_events(rd.from_arrow(batch))
-        b.apply_events(rd.from_arrow(batch), shuffle_mode="winners")
-    assert canonical_state(_state(a)).equals(canonical_state(_state(b)))
-    assert_states_equal(_state(b), ORACLE)
-    rec = b.apply_events(rd.from_arrow(BATCHES[0]), shuffle_mode="winners")
-    assert rec["events_seen"] == 0
-
-
 def test_bootstrap_from_parquet_then_cdc_wins(tmp_path):
     """S7 passthrough: seed the lake from a plain (non-CDC) parquet
     table, then let real CDC windows override seeded keys under LWW."""
@@ -277,8 +263,7 @@ def test_apply_stream_pipelined_matches_serial(tmp_path):
     batches = list(micro_batches(ev, batch_windows=2, window=500))
 
     serial = CDCLake(tmp_path / "s", TableSpec(name="cdc", num_partitions=8))
-    for b in batches:
-        serial.apply_events(rd.from_arrow(b))
+    srecs = [serial.apply_events(rd.from_arrow(b)) for b in batches]
 
     piped = CDCLake(tmp_path / "p", TableSpec(name="cdc", num_partitions=8))
     recs = piped.apply_stream(
@@ -311,6 +296,10 @@ def test_apply_stream_pipelined_matches_serial(tmp_path):
     assert [r["epoch"] for r in arecs] == list(range(1, len(batches) + 1))
     assert all("commit_wait_sec" in r for r in arecs)
     assert_states_equal(state(auto), oracle)
+    # one record builder: both apply paths return one key set, with
+    # the commit split (commit_sec / commit_wait_sec) on every record
+    assert {frozenset(r) for r in srecs + recs + arecs} == {frozenset(srecs[0])}
+    assert {"commit_sec", "commit_wait_sec"} <= set(srecs[0])
 
 
 def test_apply_stream_watermark_tightens_across_commits(tmp_path):

@@ -299,12 +299,6 @@ def test_patch_guards(tmp_path):
         CDCLake(str(tmp_path / "g"), spec,
                 gate=make_curation_gate(spec, lambda t: pa.array(
                     [True] * t.num_rows)))
-    lake = CDCLake(str(tmp_path / "w"), spec)
-    with pytest.raises(ValueError, match="winners"):
-        lake.apply_events(
-            rd.from_arrow(_events_table([("I", 0, "r", "k", "en", "x")])),
-            shuffle_mode="winners",
-        )
 
 
 def test_patch_op_dlq_validity(tmp_path):
