@@ -217,13 +217,19 @@ class ActorLake(CDCLake):
                 return pending
         return super()._alloc_epoch()
 
-    def apply_events(self, events: rd.Dataset,
+    def apply_events(self, events: rd.Dataset, *, txn=None,
                      _fail_before_commit: bool = False) -> dict:
         if self.spec.patch_ops:
             raise NotImplementedError(
                 "op='P' partial updates are supported on the CDCLake "
                 "apply path only — the actor key-index path reduces to "
                 "one winner per key and would drop patch rows"
+            )
+        if txn is not None:
+            raise NotImplementedError(
+                "LakeTransaction commits run on the CDCLake batch apply "
+                "path only — the actor key index cannot roll back a "
+                "staged epoch that the transaction later abandons"
             )
         record = super().apply_events(
             events, _fail_before_commit=_fail_before_commit)

@@ -29,6 +29,7 @@ stats table returns to the driver).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -137,15 +138,17 @@ def _cluster_reorder(delta: pa.Table, cols: list[str], order: str,
     return delta.take(pa.array(np.argsort(z, kind="stable")))
 
 
-def _rename_rewriter(root: str, table: str, epoch: int,
-                     old: str, new: str):
-    """Batch fn for ``CDCLake.rename_column``: rewrite each live file
-    with the column renamed — a pure byte-level per-file rewrite (rows,
-    order, tombstones, patches all preserved; NO LWW resolve), writing
-    under the DDL epoch's directory.  Output names are a content hash
-    of the source path, so a task retry overwrites the same paths
-    (idempotent, like the delta writer).  The key-hash bloom sidecar is
-    copied verbatim — keys are not renameable, so its bits still hold."""
+def _file_rewriter(root: str, table: str, epoch: int, prefix: str,
+                   transform):
+    """Batch fn for the rewriting DDL verbs (``rename_column``,
+    ``add_column(default=...)``): rewrite each live file through
+    ``transform`` (``pa.Table -> pa.Table``) — a pure per-file rewrite
+    (rows, order, tombstones, patches all preserved; NO LWW resolve),
+    writing under the DDL epoch's directory.  Output names are
+    ``prefix`` + a content hash of the source path, so a task retry
+    overwrites the same paths (idempotent, like the delta writer).  The
+    key-hash bloom sidecar is copied verbatim — keys are neither
+    renameable nor addable, so its bits still hold."""
     import hashlib
 
     troot = Path(root) / table
@@ -154,59 +157,12 @@ def _rename_rewriter(root: str, table: str, epoch: int,
         srcs, dsts = [], []
         for part, rel in zip(batch.column("part").to_pylist(),
                              batch.column("file").to_pylist()):
-            t = pq.read_table(troot / rel)
-            if old in t.column_names:
-                t = t.rename_columns(
-                    [new if c == old else c for c in t.column_names])
+            t = transform(pq.read_table(troot / rel))
             pdir = (troot / f"part={int(part):05d}"
                     / f"epoch={epoch:06d}")
             pdir.mkdir(parents=True, exist_ok=True)
             tag = hashlib.sha1(rel.encode()).hexdigest()[:16]
-            fname = f"ren-{tag}.parquet"
-            tmp = pdir / (fname + ".tmp")
-            pq.write_table(t, tmp)
-            tmp.replace(pdir / fname)
-            bp = bloom.sidecar_path(troot / rel)
-            if bp.exists():
-                btmp = pdir / (fname + ".bloom.tmp")
-                btmp.write_bytes(bp.read_bytes())
-                btmp.replace(bloom.sidecar_path(pdir / fname))
-            srcs.append(rel)
-            dsts.append(str((pdir / fname).relative_to(troot)))
-        return pa.table({"src": pa.array(srcs, pa.string()),
-                         "dst": pa.array(dsts, pa.string())})
-
-    return rewrite
-
-
-def _add_col_rewriter(root: str, table: str, epoch: int,
-                      col: str, typ: pa.DataType, default):
-    """Batch fn for ``CDCLake.add_column(default=...)``: rewrite each
-    live file with the new column appended as a constant — same
-    idempotent per-file rewrite shape as ``_rename_rewriter`` (rows,
-    order, tombstones, patches preserved; NO LWW resolve; retry-safe
-    content-hash names; bloom sidecar copied verbatim)."""
-    import hashlib
-
-    troot = Path(root) / table
-
-    def rewrite(batch: pa.Table) -> pa.Table:
-        srcs, dsts = [], []
-        for part, rel in zip(batch.column("part").to_pylist(),
-                             batch.column("file").to_pylist()):
-            t = pq.read_table(troot / rel)
-            if col in t.column_names:
-                # stale bytes from a dropped-then-readded name — the
-                # add must not resurrect them
-                t = t.drop_columns([col])
-            fill = pa.nulls(t.num_rows, typ) if default is None \
-                else pa.array([default] * t.num_rows, typ)
-            t = t.append_column(pa.field(col, typ), fill)
-            pdir = (troot / f"part={int(part):05d}"
-                    / f"epoch={epoch:06d}")
-            pdir.mkdir(parents=True, exist_ok=True)
-            tag = hashlib.sha1(rel.encode()).hexdigest()[:16]
-            fname = f"add-{tag}.parquet"
+            fname = f"{prefix}-{tag}.parquet"
             tmp = pdir / (fname + ".tmp")
             pq.write_table(t, tmp)
             tmp.replace(pdir / fname)
@@ -366,6 +322,82 @@ class ConcurrentCommitError(RuntimeError):
     ``restore()`` to the snapshot the loser had read (watermarks
     revert with it, by design) and re-tail the log from that window
     onward; redelivery of already-applied windows is a no-op."""
+
+
+_ENGINE_COLS = ("content_sha", "key_hash", "part")
+
+# every table property a root manifest carries, with the value a table
+# that never set it has; a commit carries each one its edit leaves alone
+_TABLE_PROPS = {
+    "num_partitions": None, "schema": None, "partitions": {},
+    "compacted": False, "dropped_cols": [], "cluster_spec": None,
+    "renamed_cols": {},
+}
+
+
+def _table_props(m: dict) -> dict:
+    return {k: m.get(k, d) for k, d in _TABLE_PROPS.items()}
+
+
+def _is_layout(r: dict) -> bool:
+    """A reshard, restore or DDL lineage record."""
+    return bool(r.get("reshard") or r.get("restore_of") is not None
+                or r.get("ddl"))
+
+
+def _refuse_conflict(conflict: str, cur: dict | None,
+                     planned: dict | None, epoch: int,
+                     num_partitions: int) -> None:
+    """The commit point's conflict rule for one verb class, checked
+    under the commit lock against the re-read manifest ``cur``:
+
+    * ``"quiesced"`` (layout/DDL verbs, restore, clone): refuse if the
+      manifest moved past the ``planned`` snapshot.
+    * ``"data"``: refuse a newer committed data/layout/DDL/clone epoch
+      — our snapshot number would regress under epoch-ordered
+      consumers (cursors, change sets, time travel); regressing past
+      pure compactions is state-preserving.
+    * ``"maintenance"`` (compaction): newer data commits fold in as
+      leftovers; only a newer layout/DDL/restore epoch refuses.
+
+    Data and maintenance commits also refuse a changed partition
+    count."""
+    if conflict == "quiesced":
+        if (cur or {}).get("epoch", 0) != (planned or {}).get("epoch", 0):
+            raise ConcurrentCommitError(
+                "layout/DDL verbs require quiesced writers: the "
+                "manifest advanced during the operation; retry"
+            )
+        return
+    if not cur:
+        return
+    if cur["epoch"] > epoch:
+        newer = [r for r in cur.get("lineage", []) if r["epoch"] > epoch]
+        if conflict == "data":
+            blockers = [r["epoch"] for r in newer
+                        if not r.get("compaction") or r.get("clone")
+                        or _is_layout(r)]
+            if blockers:
+                raise ConcurrentCommitError(
+                    f"epoch {epoch} lost the commit race to newer "
+                    f"epoch(s) {blockers}: its delta files are invisible "
+                    "orphans (gc reclaims); restore() to the pre-race "
+                    "snapshot and re-tail from the lost window (see "
+                    "ConcurrentCommitError)"
+                )
+        else:
+            blockers = [r["epoch"] for r in newer if _is_layout(r)]
+            if blockers:
+                raise ConcurrentCommitError(
+                    f"compaction epoch {epoch} raced layout/DDL "
+                    f"epoch(s) {blockers}: retry compact()"
+                )
+    if cur["num_partitions"] != num_partitions:
+        raise ConcurrentCommitError(
+            f"partition layout changed under epoch {epoch} "
+            f"({num_partitions} -> {cur['num_partitions']}): layout DDL "
+            "requires quiesced writers; re-open the lake and retry"
+        )
 
 
 _VALID_OPS = ("I", "U", "D")
@@ -861,22 +893,25 @@ class CDCLake:
         # merged in — restore() recomputes the merge from the reverted
         # manifest against this base
         self._user_rename = dict(self.spec.rename)
+        self.dropped_cols = set()
         m = mf.read_manifest(self.root, self.spec.name)
         if m is not None:
-            # restore persisted schema + partitioning (must not drift);
-            # the manifest stores the state schema = event schema + engine
-            # columns, which standardize re-derives — strip them here
-            state_schema = mf.schema_from_b64(m["schema"])
-            engine_cols = {"content_sha", "key_hash", "part"}
-            self.spec.schema = pa.schema(
-                [f for f in state_schema if f.name not in engine_cols]
-            )
-            self.spec.num_partitions = m["num_partitions"]
-            self.dropped_cols = set(m.get("dropped_cols", []))
-            self.spec.rename = _merge_ddl_renames(
-                self._user_rename, m.get("renamed_cols", {}))
-        else:
-            self.dropped_cols = set()
+            self._load_spec(m)
+
+    def _load_spec(self, m: dict) -> None:
+        """Rebuild the in-memory spec from a committed manifest (open,
+        restore, clone): schema, partitioning, the dropped set and the
+        DDL rename map must not drift from the table.  The manifest
+        stores the state schema = event schema + engine columns, which
+        standardize re-derives — strip them here."""
+        self.spec.schema = pa.schema(
+            [f for f in mf.schema_from_b64(m["schema"])
+             if f.name not in _ENGINE_COLS]
+        )
+        self.spec.num_partitions = m["num_partitions"]
+        self.dropped_cols = set(m.get("dropped_cols", []))
+        self.spec.rename = _merge_ddl_renames(
+            self._user_rename, m.get("renamed_cols", {}))
 
     # -- write path -------------------------------------------------------
 
@@ -1070,15 +1105,13 @@ class CDCLake:
             record["committed"] = False
             return record
 
-        t_commit = time.time()
-        self._commit(m, epoch, stats, record, txn=txn)
-        record["commit_sec"] = round(time.time() - t_commit, 3)
+        committed = self._commit(m, epoch, stats, record, txn=txn)
         if txn is not None:
             record["committed"] = False  # until txn.commit()
             txn._track(record)
             return record
         record["committed"] = True
-        self._maybe_autocompact()
+        self._maybe_autocompact(committed)
         return record
 
     def apply_stream(
@@ -1185,12 +1218,11 @@ class CDCLake:
                 _commit_and_adapt()
         return records
 
-    def _commit_next(self, pending, wm: np.ndarray | None = None) -> dict:
+    def _commit_next(self, pending, wm: np.ndarray) -> dict:
         epoch, fut, t0, spec_snap = pending.pop(0)
         t_wait = time.time()
         stats = fut.result()
         commit_wait = time.time() - t_wait
-        t_commit = time.time()
         # no manifest read here: the non-txn _commit re-reads it inside
         # the commit lock anyway (review finding — manifests carry
         # per-file zone maps and grow; a redundant parse per epoch is
@@ -1198,24 +1230,17 @@ class CDCLake:
         record = self._epoch_record(epoch, stats, t0, commit_wait)
         # commit with the epoch's OWN spec snapshot: the live spec may
         # already carry columns from still-uncommitted in-flight windows
-        self._commit(None, epoch, stats, record, spec_snap)
-        # the DRIVER-SIDE constant per epoch (manifest read + swap) —
-        # distinct from commit_wait_sec, which is time spent waiting on
-        # the epoch's distributed phase 1 and scales with the cluster
-        record["commit_sec"] = round(time.time() - t_commit, 3)
+        committed = self._commit(None, epoch, stats, record, spec_snap)
         # tighten the shared watermark snapshot so windows submitted
         # AFTER this commit filter against it (in-flight windows keep
         # their own copies — still safe, they can only under-drop, and
         # redeliveries die in the per-key LWW merge); without this a
         # long stream re-writes straddling rows into new delta files
         # every epoch
-        if wm is not None:
-            for s in stats:
-                p = s["part"]
-                if s["watermark"] > wm[p]:
-                    wm[p] = s["watermark"]
+        for s in stats:
+            wm[s["part"]] = max(wm[s["part"]], s["watermark"])
         record["committed"] = True
-        self._maybe_autocompact()
+        self._maybe_autocompact(committed)
         return record
 
     def _phase1(
@@ -1281,153 +1306,121 @@ class CDCLake:
         )
         return stats_ds.take_all()  # ≤ P tiny rows — phase 1 complete here
 
-    def _commit_quiesced(self, manifest: dict, planned: dict | None):
-        """Layout/DDL commit point, shared by reshard/restore/
-        drop_column (review finding: one helper, not four copies):
-        exclusive by contract — under the lock, refuse if the manifest
-        advanced past the snapshot the verb planned against."""
-        with mf.commit_lock(self.root, self.spec.name):
-            curm = mf.read_manifest(self.root, self.spec.name)
-            if (curm or {}).get("epoch", 0) != (planned or {}).get(
-                    "epoch", 0):
-                raise ConcurrentCommitError(
-                    "layout/DDL verbs require quiesced writers: the "
-                    "manifest advanced during the operation; retry"
-                )
-            mf.commit_manifest(self.root, self.spec.name, manifest)
+    def _commit_edit(self, planned: dict | None, epoch: int, record: dict,
+                     edit, conflict: str,
+                     txn: "LakeTransaction | None" = None) -> dict:
+        """The one commit builder every verb (data epochs, compaction,
+        layout, DDL, restore, clone) commits its manifest through.
+        Without ``txn``: under the cross-process commit lock, re-read
+        the current manifest ``cur`` and apply the verb's ``conflict``
+        rule (``_refuse_conflict``).  With ``txn``: fold against
+        ``planned`` and stage (single-writer-per-table contract; the
+        writer lease enforces it).  ``edit(cur)`` returns only the
+        table properties the verb changes (plus ``lineage`` when the
+        record extends another history — restore, clone); the rest
+        carry over from ``cur``.  The lease is re-validated right
+        before the pointer swap, so a stale writer fences at commit.
+        Returns the committed (or staged) manifest."""
+        name = self.spec.name
+        with (mf.commit_lock(self.root, name) if txn is None
+              else contextlib.nullcontext()):
+            if txn is None:
+                cur = mf.read_manifest(self.root, name)
+                _refuse_conflict(conflict, cur, planned, epoch,
+                                 self.spec.num_partitions)
+            else:
+                cur = planned
+            cur = cur or {}
+            fields = edit(cur)
+            history = fields.pop("lineage", cur.get("lineage", []))
+            manifest = {
+                **_table_props(cur),
+                **fields,
+                "table": name,
+                "epoch": epoch,
+                # persisted allocator high-water mark: a crash-resumed
+                # instance must never re-issue an epoch already used by
+                # a mid-stream compaction whose number exceeds this one
+                "epoch_hwm": max(self._epoch_hwm, epoch,
+                                 cur.get("epoch_hwm", 0)),
+                "lineage": list(history) + [record],
+            }
+            self._renew_writer()
+            if txn is not None:
+                txn._stage(self.root, name, manifest)
+            else:
+                mf.commit_manifest(self.root, name, manifest)
+        return manifest
 
     def _commit(self, prev: dict | None, epoch: int, stats: list[dict],
                 record: dict, spec: TableSpec | None = None,
-                txn: "LakeTransaction | None" = None):
-        """Phase 2.  The non-transactional path is OPTIMISTIC-
-        CONCURRENCY-safe: the fold runs under the cross-process commit
-        lock against the manifest re-read INSIDE it (never the stale
-        ``prev`` from apply start), so a concurrent writer's committed
-        files are preserved — both epochs' deltas land and LWW resolves
-        them deterministically at read.  If a NEWER claim committed
-        first (our snapshot number would regress, confusing every
-        epoch-ordered consumer — cursors, change sets, time travel),
-        the commit refuses with ``ConcurrentCommitError``: our phase-1
-        files stay invisible orphans (gc reclaims), and recovery is
-        restore-to-the-pre-race-snapshot + re-tail (the lost window's
-        events sit below the advanced watermark, so a plain re-apply
-        would skip them — restore reverts watermarks by design).
-        Transactional (``txn``) commits keep the stale-``prev`` fold and
-        remain under the single-writer-per-table contract (use the
-        writer lease to enforce it)."""
+                txn: "LakeTransaction | None" = None) -> dict:
+        """Phase 2 of a data epoch: fold its files into the manifest
+        (the ``"data"`` edit).  Without ``txn`` the fold runs against
+        the manifest re-read inside the commit lock, never the stale
+        ``prev``, so a concurrent writer's committed files survive and
+        LWW resolves both at read; losing to a newer data epoch raises
+        ``ConcurrentCommitError`` (recovery: see there).  Sets
+        ``record["commit_sec"]``: the DRIVER-SIDE constant per epoch
+        (lock + manifest read + swap) — distinct from
+        ``commit_wait_sec``, the wait on the epoch's distributed phase
+        1, which scales with the cluster."""
+        t_commit = time.time()
         spec = spec or self.spec
-        if txn is None:
-            with mf.commit_lock(self.root, self.spec.name):
-                cur = mf.read_manifest(self.root, self.spec.name)
-                if cur and cur["epoch"] > epoch:
-                    # pointer regression past PURE maintenance epochs
-                    # (compaction) is the long-standing same-writer
-                    # mid-stream behavior and is state-preserving —
-                    # only a newer DATA / layout / DDL epoch makes the
-                    # regression unsound for epoch-ordered consumers
-                    blockers = [
-                        r["epoch"] for r in cur.get("lineage", [])
-                        if r["epoch"] > epoch and not (
-                            r.get("compaction")
-                            and not r.get("reshard")
-                            and r.get("restore_of") is None
-                            and not r.get("ddl")
-                            and not r.get("clone")
-                        )
-                    ]
-                    if blockers:
-                        raise ConcurrentCommitError(
-                            f"epoch {epoch} lost the commit race to "
-                            f"newer epoch(s) {blockers}: its delta "
-                            "files are invisible orphans (gc "
-                            "reclaims); restore() to the pre-race "
-                            "snapshot and re-tail from the lost "
-                            "window (see ConcurrentCommitError)"
-                        )
-                if cur and cur["num_partitions"] != self.spec.num_partitions:
-                    raise ConcurrentCommitError(
-                        "partition layout changed under this epoch "
-                        f"({self.spec.num_partitions} -> "
-                        f"{cur['num_partitions']}): layout DDL requires "
-                        "quiesced writers; re-open the lake and re-apply"
-                    )
-                self._commit_fold(cur, epoch, stats, record, spec, None)
-            return
-        self._commit_fold(prev, epoch, stats, record, spec, txn)
 
-    def _commit_fold(self, prev: dict | None, epoch: int,
-                     stats: list[dict], record: dict,
-                     spec: TableSpec, txn: "LakeTransaction | None"):
-        partitions = dict(prev["partitions"]) if prev else {}
-        lineage = list(prev.get("lineage", [])) if prev else []
-        for s in stats:
-            p = str(s["part"])
-            old = partitions.get(p, {"files": [], "watermark": -1, "rows": 0})
-            partitions[p] = {
-                "files": old["files"] + [s["file"]],
-                "watermark": max(old["watermark"], s["watermark"]),
-                "rows": old["rows"] + s["rows"],
-                "sha_rollup": s["sha_rollup"],
-                # cumulative gate-audit counter (ROADMAP #19)
-                "gated": old.get("gated", 0) + int(s.get("gated", 0)),
-                # per-file zone maps for pruned reads
-                "file_stats": {
-                    **old.get("file_stats", {}),
-                    s["file"]: json.loads(s["stats"]),
-                },
+        def fold(cur: dict) -> dict:
+            partitions = dict(cur.get("partitions", {}))
+            for s in stats:
+                p = str(s["part"])
+                old = partitions.get(p, {"files": [], "watermark": -1,
+                                         "rows": 0})
+                partitions[p] = {
+                    "files": old["files"] + [s["file"]],
+                    "watermark": max(old["watermark"], s["watermark"]),
+                    "rows": old["rows"] + s["rows"],
+                    "sha_rollup": s["sha_rollup"],
+                    # cumulative gate-audit counter (ROADMAP #19)
+                    "gated": old.get("gated", 0) + int(s.get("gated", 0)),
+                    # per-file zone maps for pruned reads
+                    "file_stats": {
+                        **old.get("file_stats", {}),
+                        s["file"]: json.loads(s["stats"]),
+                    },
+                }
+            dropped = set(cur.get("dropped_cols", [])) | self.dropped_cols
+            state_schema = self._state_schema(spec)
+            if cur:
+                # rebase: a concurrent writer may have evolved columns
+                # this epoch never saw — the committed schema is the
+                # union, the same add/widen unification the read path
+                # applies; a column CONCURRENTLY dropped must not be
+                # resurrected by the union (our spec still carries it).
+                # unify_schemas APPENDS new fields after the engine
+                # columns — re-impose the canonical order (payload
+                # first, engine cols last): lookup()/key_history() cast
+                # to _state_schema(), and pa.Table.cast is
+                # field-ORDER-sensitive (review finding).
+                unified = pa.unify_schemas(
+                    [mf.schema_from_b64(cur["schema"]), state_schema],
+                    promote_options="permissive",
+                )
+                state_schema = pa.schema(
+                    [f for f in unified
+                     if f.name not in _ENGINE_COLS and f.name not in dropped]
+                    + [unified.field(n) for n in _ENGINE_COLS
+                       if n in unified.names]
+                )
+            return {
+                "num_partitions": self.spec.num_partitions,
+                "schema": mf.schema_to_b64(state_schema),
+                "partitions": partitions,
+                "compacted": False,
+                "dropped_cols": sorted(dropped),
             }
-        lineage.append(record)
-        # fencing: the COMMIT POINT must re-validate the lease — a
-        # paused writer whose lease was stolen fails here, before the
-        # pointer swap (no-op when leases are off)
-        self._renew_writer()
-        dropped_union = (set((prev or {}).get("dropped_cols", []))
-                         | self.dropped_cols)
-        state_schema = self._state_schema(spec)
-        if prev is not None:
-            # rebase: a concurrent writer may have evolved columns this
-            # epoch never saw — the committed schema is the union, the
-            # same add/widen unification the read path applies; a
-            # column CONCURRENTLY dropped must not be resurrected by
-            # the union (our spec still carries it).  unify_schemas
-            # APPENDS new fields after the engine columns — re-impose
-            # the canonical order (payload first, engine cols last):
-            # lookup()/key_history() cast to _state_schema(), and
-            # pa.Table.cast is field-ORDER-sensitive (review finding).
-            unified = pa.unify_schemas(
-                [mf.schema_from_b64(prev["schema"]), state_schema],
-                promote_options="permissive",
-            )
-            engine = ("content_sha", "key_hash", "part")
-            state_schema = pa.schema(
-                [f for f in unified
-                 if f.name not in engine and f.name not in dropped_union]
-                + [unified.field(n) for n in engine
-                   if n in unified.names]
-            )
-        manifest = {
-            "table": self.spec.name,
-            "epoch": epoch,
-            # persisted allocator high-water mark: a crash-resumed
-            # instance must never re-issue an epoch already used by a
-            # mid-stream compaction whose number exceeds this commit's
-            "epoch_hwm": max(self._epoch_hwm, epoch,
-                             (prev or {}).get("epoch_hwm", 0)),
-            "num_partitions": self.spec.num_partitions,
-            "schema": mf.schema_to_b64(state_schema),
-            "partitions": partitions,
-            "lineage": lineage,
-            "compacted": False,
-            "dropped_cols": sorted(dropped_union),
-            # table properties: clustering layout and DDL rename map
-            # survive data commits
-            "cluster_spec": (prev or {}).get("cluster_spec"),
-            "renamed_cols": (prev or {}).get("renamed_cols", {}),
-        }
-        if txn is not None:
-            txn._stage(self.root, self.spec.name, manifest)
-            return
-        mf.commit_manifest(self.root, self.spec.name, manifest)
+
+        manifest = self._commit_edit(prev, epoch, record, fold, "data", txn)
+        record["commit_sec"] = round(time.time() - t_commit, 3)
+        return manifest
 
     def _state_schema(self, spec: TableSpec | None = None) -> pa.Schema:
         """Delta-file schema = evolved event schema + engine columns."""
@@ -1929,17 +1922,14 @@ class CDCLake:
 
     # -- maintenance ------------------------------------------------------
 
-    def _maybe_autocompact(self) -> dict | None:
-        """Commit-path hook: size-tiered compaction when any partition's
-        delta-file count exceeds ``auto_compact_files`` (VERDICT r3 #3 —
-        ``state_read_sec`` doubled as epochs accumulated with the policy
-        left manual).  Single-writer, called from the commit thread, so
-        it cannot race an in-flight phase 2."""
+    def _maybe_autocompact(self, m: dict) -> dict | None:
+        """Commit-path hook: size-tiered compaction when any partition
+        of the just-committed manifest ``m`` holds more than
+        ``auto_compact_files`` delta files (VERDICT r3 #3).  Called
+        from the commit thread, so it cannot race an in-flight phase
+        2."""
         k = self.auto_compact_files
-        if not k:
-            return None
-        m = mf.read_manifest(self.root, self.spec.name)
-        if not m or not any(
+        if not k or not any(
             len(info["files"]) > k for info in m["partitions"].values()
         ):
             return None
@@ -1975,23 +1965,22 @@ class CDCLake:
         dst_troot = Path(dest_root) / self.spec.name
         if (dst_troot / "_manifests").exists():
             raise ValueError(f"destination {dst_troot} already has a lake")
-        for rel in [f for info in m["partitions"].values()
-                    for f in info["files"]]:
-            src, dst = src_troot / rel, dst_troot / rel
-            dst.parent.mkdir(parents=True, exist_ok=True)
+
+        def link(src: Path, dst: Path) -> None:
             try:
                 os.link(src, dst)
             except OSError:
                 _sh.copy2(src, dst)
+
+        for rel in [f for info in m["partitions"].values()
+                    for f in info["files"]]:
+            src, dst = src_troot / rel, dst_troot / rel
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            link(src, dst)
             # carry the bloom sidecar (immutable like its data file)
             # so point lookups on the branch keep their file skipping
-            bsrc = bloom.sidecar_path(src)
-            if bsrc.exists():
-                bdst = bloom.sidecar_path(dst)
-                try:
-                    os.link(bsrc, bdst)
-                except OSError:
-                    _sh.copy2(bsrc, bdst)
+            if bloom.sidecar_path(src).exists():
+                link(bloom.sidecar_path(src), bloom.sidecar_path(dst))
         # carry the COW manifest LOG (immutable json, metadata-sized):
         # time travel and epoch change sets on the branch keep working
         # for every epoch whose data files are shared with the fork
@@ -2000,26 +1989,30 @@ class CDCLake:
         # silently (same contract as gc-expired snapshots)
         (dst_troot / "_manifests").mkdir(parents=True, exist_ok=True)
         for mj in (src_troot / "_manifests").glob("manifest-*.json"):
-            try:
-                os.link(mj, dst_troot / "_manifests" / mj.name)
-            except OSError:
-                _sh.copy2(mj, dst_troot / "_manifests" / mj.name)
-        manifest = dict(m)
-        manifest["lineage"] = list(m.get("lineage", [])) + [{
+            link(mj, dst_troot / "_manifests" / mj.name)
+        from dataclasses import replace as _dc_replace
+
+        dest = CDCLake(dest_root, _dc_replace(self.spec),
+                       gate=self.gate,
+                       auto_compact_files=self.auto_compact_files,
+                       dead_letter=self.dead_letter,
+                       constraints=self.constraints)
+        # the branch inherits the fork snapshot's allocator high-water
+        # mark, and commits that snapshot (with its lineage) as its own
+        dest._epoch_hwm = m.get("epoch_hwm", 0)
+        record = {
             "epoch": m["epoch"], "cloned_from": str(src_troot),
             "at_epoch": at_epoch,
             # state-preserving, like a compaction: change-set readers
             # must not treat the fork record as an apply epoch
             "compaction": True, "clone": True,
-        }]
-        mf.commit_manifest(dest_root, self.spec.name, manifest)
-        from dataclasses import replace as _dc_replace
-
-        return CDCLake(dest_root, _dc_replace(self.spec),
-                       gate=self.gate,
-                       auto_compact_files=self.auto_compact_files,
-                       dead_letter=self.dead_letter,
-                       constraints=self.constraints)
+        }
+        committed = dest._commit_edit(
+            None, m["epoch"], record,
+            lambda cur: {**_table_props(m), "lineage": m.get("lineage", [])},
+            "quiesced")
+        dest._load_spec(committed)
+        return dest
 
     def merge_branch(self, branch: "CDCLake", *,
                      on_conflict: str = "fail",
@@ -2225,43 +2218,13 @@ class CDCLake:
             self.spec.num_partitions = new_num_partitions
             return {"reshard": True, "from": old_p,
                     "to": new_num_partitions, "partitions_touched": 0}
-        if not any(info["files"] for info in m["partitions"].values()):
-            # no data files, but committed WATERMARKS still guard
-            # redelivery (e.g. after a compact of fully-deleted keys) —
-            # persist the new layout with every new partition carrying
-            # the min of the old watermarks, same argument as below
-            min_wm = min(
-                (info["watermark"] for info in m["partitions"].values()),
-                default=-1,
-            )
-            epoch = self._alloc_epoch()
-            record = {"epoch": epoch, "compaction": True, "reshard": True,
-                      "from": old_p, "to": new_num_partitions,
-                      "partitions_touched": 0, "rows": 0}
-            manifest = {
-                "table": self.spec.name,
-                "epoch": epoch,
-                "epoch_hwm": max(self._epoch_hwm, epoch,
-                                 m.get("epoch_hwm", 0)),
-                "num_partitions": new_num_partitions,
-                "schema": m["schema"],
-                "partitions": {
-                    str(p): {"files": [], "watermark": min_wm, "rows": 0,
-                             "sha_rollup": None, "base": True, "gated": 0}
-                    for p in range(new_num_partitions)
-                },
-                "lineage": list(m.get("lineage", [])) + [record],
-                "compacted": False,
-                "dropped_cols": m.get("dropped_cols", []),
-                "cluster_spec": m.get("cluster_spec"),
-                "renamed_cols": m.get("renamed_cols", {}),
-            }
-            self._commit_quiesced(manifest, m)
-            self.spec.num_partitions = new_num_partitions
-            return record
-
+        # EVERY new partition carries the min of the old watermarks —
+        # including those the rewrite leaves empty: committed
+        # watermarks still guard redelivery of keys whose rows and
+        # tombstones a compaction already dropped
         min_wm = min(
-            info["watermark"] for info in m["partitions"].values()
+            (info["watermark"] for info in m["partitions"].values()),
+            default=-1,
         )
         epoch = self._alloc_epoch()
         schema = mf.schema_from_b64(m["schema"])
@@ -2288,9 +2251,14 @@ class CDCLake:
             .groupby("part", num_partitions=new_num_partitions)
             .map_groups(writer, batch_format="pyarrow")
             .take_all()
-        )
+        ) if files else []
         partitions = {
-            str(s["part"]): {
+            str(p): {"files": [], "watermark": min_wm, "rows": 0,
+                     "sha_rollup": None, "base": True, "gated": 0}
+            for p in range(new_num_partitions)
+        }
+        for s in stats:
+            partitions[str(s["part"])] = {
                 "files": [s["file"]],
                 "watermark": min_wm,
                 "rows": s["rows"],
@@ -2298,8 +2266,6 @@ class CDCLake:
                 "gated": 0,
                 "file_stats": {s["file"]: json.loads(s["stats"])},
             }
-            for s in stats
-        }
         # cumulative gate audit survives as a table-level lineage figure
         record = {
             "epoch": epoch,
@@ -2313,23 +2279,13 @@ class CDCLake:
                 info.get("gated", 0) for info in m["partitions"].values()
             )),
         }
-        manifest = {
-            "table": self.spec.name,
-            "epoch": epoch,
-            "epoch_hwm": max(self._epoch_hwm, epoch,
-                             m.get("epoch_hwm", 0)),
+        # tombstones retained — resolver path; the rewrite itself is
+        # key-ordered, and the carried cluster_spec makes the next
+        # compaction re-cluster
+        self._commit_edit(m, epoch, record, lambda cur: {
             "num_partitions": new_num_partitions,
-            "schema": m["schema"],
-            "partitions": partitions,
-            "lineage": list(m.get("lineage", [])) + [record],
-            "compacted": False,  # tombstones retained — resolver path
-            "dropped_cols": m.get("dropped_cols", []),
-            # the reshard rewrite itself is key-ordered; the persisted
-            # property makes the next compaction re-cluster
-            "cluster_spec": m.get("cluster_spec"),
-            "renamed_cols": m.get("renamed_cols", {}),
-        }
-        self._commit_quiesced(manifest, m)
+            "partitions": partitions, "compacted": False,
+        }, "quiesced")
         self.spec.num_partitions = new_num_partitions
         return record
 
@@ -2604,25 +2560,13 @@ class CDCLake:
         new_epoch = self._alloc_epoch()
         record = {"epoch": new_epoch, "compaction": True,
                   "restore_of": epoch}
-        manifest = {
-            **target,
-            "epoch": new_epoch,
-            "epoch_hwm": max(self._epoch_hwm, new_epoch,
-                             m.get("epoch_hwm", 0)),
-            "lineage": list(target.get("lineage", [])) + [record],
-        }
-        self._commit_quiesced(manifest, m)
+        # every table property AND the lineage revert with the snapshot
+        committed = self._commit_edit(m, new_epoch, record, lambda cur: {
+            **_table_props(target), "lineage": target.get("lineage", []),
+        }, "quiesced")
         # the spec reverts with the snapshot (schema, partitioning,
-        # dropped set) — mirror what __init__ restores from a manifest
-        state_schema = mf.schema_from_b64(manifest["schema"])
-        engine_cols = {"content_sha", "key_hash", "part"}
-        spec.schema = pa.schema(
-            [f for f in state_schema if f.name not in engine_cols]
-        )
-        spec.num_partitions = manifest["num_partitions"]
-        self.dropped_cols = set(manifest.get("dropped_cols", []))
-        spec.rename = _merge_ddl_renames(
-            self._user_rename, manifest.get("renamed_cols", {}))
+        # dropped set, renames)
+        self._load_spec(committed)
         return record
 
     def drop_column(self, col: str) -> dict:
@@ -2646,46 +2590,33 @@ class CDCLake:
         ``compaction: True`` (state-preserving), so change feeds and
         incremental views skip the epoch."""
         spec = self.spec
-        protected = set(spec.key_cols) | {
-            spec.lsn_col, spec.op_col, spec.content_col,
-        }
+        protected = (*spec.key_cols, spec.lsn_col, spec.op_col,
+                     spec.content_col)
         if col in protected:
             raise ValueError(
                 f"{col!r} is a key/order/op/content column — dropping it "
                 "would break LWW resolution or the content invariant"
             )
-        m = mf.read_manifest(self.root, spec.name)
         if col not in spec.schema.names:
             raise ValueError(f"no such column: {col!r}")
-        spec.schema = pa.schema([f for f in spec.schema if f.name != col])
+
+        def props(cur: dict) -> dict:
+            # dropping a clustering column narrows (or clears) the
+            # persisted clustering property — later compactions must
+            # not try to order by a column that no longer exists
+            cspec = cur.get("cluster_spec")
+            if cspec and col in cspec.get("cols", []):
+                left = [c for c in cspec["cols"] if c != col]
+                cspec = {**cspec, "cols": left} if left else None
+            return {"dropped_cols": sorted(
+                        set(cur.get("dropped_cols", [])) | {col}),
+                    "cluster_spec": cspec}
+
+        record = self._commit_ddl(
+            mf.read_manifest(self.root, spec.name),
+            {"ddl": "drop_column", "col": col},
+            lambda s: pa.schema([f for f in s if f.name != col]), props)
         self.dropped_cols = self.dropped_cols | {col}
-        if m is None:
-            # nothing committed yet — narrowing the spec is the whole op
-            return {"epoch": 0, "ddl": "drop_column", "col": col,
-                    "compaction": True}
-        old_schema = mf.schema_from_b64(m["schema"])
-        new_schema = pa.schema([f for f in old_schema if f.name != col])
-        epoch = self._alloc_epoch()
-        record = {"epoch": epoch, "compaction": True,
-                  "ddl": "drop_column", "col": col}
-        # dropping a clustering column narrows (or clears) the
-        # persisted clustering property — later compactions must not
-        # try to order by a column that no longer exists
-        cspec = m.get("cluster_spec")
-        if cspec and col in cspec.get("cols", []):
-            left = [c for c in cspec["cols"] if c != col]
-            cspec = {**cspec, "cols": left} if left else None
-        manifest = {
-            **m,
-            "epoch": epoch,
-            "epoch_hwm": max(self._epoch_hwm, epoch, m.get("epoch_hwm", 0)),
-            "schema": mf.schema_to_b64(new_schema),
-            "lineage": list(m.get("lineage", [])) + [record],
-            "dropped_cols": sorted(
-                set(m.get("dropped_cols", [])) | {col}),
-            "cluster_spec": cspec,
-        }
-        self._commit_quiesced(manifest, m)
         return record
 
     def rename_column(self, old: str, new: str) -> dict:
@@ -2726,11 +2657,9 @@ class CDCLake:
         spec = self.spec
         if old == new:
             raise ValueError("rename_column: old and new are the same")
-        engine = {"content_sha", "key_hash", "part"}
-        protected = set(spec.key_cols) | {
-            spec.lsn_col, spec.op_col, spec.content_col,
-        }
-        if old in protected or old in engine:
+        protected = (*spec.key_cols, spec.lsn_col, spec.op_col,
+                     spec.content_col)
+        if old in protected or old in _ENGINE_COLS:
             raise ValueError(
                 f"{old!r} is a key/order/op/content/engine column — "
                 "renaming it would break LWW resolution, partitioning "
@@ -2738,7 +2667,7 @@ class CDCLake:
             )
         if old not in spec.schema.names:
             raise ValueError(f"no such column: {old!r}")
-        if not new or new in spec.schema.names or new in engine:
+        if not new or new in spec.schema.names or new in _ENGINE_COLS:
             raise ValueError(
                 f"target name {new!r} is empty, already a column, or "
                 "reserved for an engine column"
@@ -2750,86 +2679,100 @@ class CDCLake:
                  if f.name == old else f for f in s]
             )
 
-        def _sync_spec():
-            spec.schema = _ren_schema(spec.schema)
-            # a previously-dropped column whose name is being reused is
-            # live again — stop stripping it from arriving events
-            self.dropped_cols = self.dropped_cols - {new}
-            spec.rename = _merge_ddl_renames(spec.rename, {old: new})
+        def _ren_file(t: pa.Table) -> pa.Table:
+            if old not in t.column_names:
+                return t
+            return t.rename_columns(
+                [new if c == old else c for c in t.column_names])
 
-        m = mf.read_manifest(self.root, spec.name)
-        if m is None:
-            _sync_spec()
-            return {"epoch": 0, "ddl": "rename_column",
-                    "from": old, "to": new, "compaction": True}
+        def _ren_stats(st: dict) -> dict:
+            return {(new if c == old else c): v for c, v in st.items()}
 
-        epoch = self._alloc_epoch()
-        troot = Path(self.root) / spec.name
-        all_files = [
-            (int(p), f)
-            for p, info in m["partitions"].items()
-            for f in info["files"]
-        ]
+        def props(cur: dict) -> dict:
+            cspec = cur.get("cluster_spec")
+            if cspec and old in cspec.get("cols", []):
+                cspec = {**cspec, "cols": [new if c == old else c
+                                           for c in cspec["cols"]]}
+            return {
+                "dropped_cols": sorted(
+                    set(cur.get("dropped_cols", [])) - {new}),
+                "cluster_spec": cspec,
+                "renamed_cols": _merge_ddl_renames(
+                    cur.get("renamed_cols", {}), {old: new}),
+            }
+
+        record = self._commit_ddl(
+            mf.read_manifest(self.root, spec.name),
+            {"ddl": "rename_column", "from": old, "to": new},
+            _ren_schema, props, ("ren", _ren_file, _ren_stats))
+        # a previously-dropped column whose name is being reused is
+        # live again — stop stripping it from arriving events
+        self.dropped_cols = self.dropped_cols - {new}
+        spec.rename = _merge_ddl_renames(spec.rename, {old: new})
+        return record
+
+    def _commit_ddl(self, m: dict | None, record: dict, reshape,
+                    props=None, rewrite=None) -> dict:
+        """Commit one DDL verb as a quiesced edit of the planned
+        manifest ``m``: ``reshape`` maps the schema, ``props(cur)``
+        returns the other properties the verb changes, and
+        ``rewrite=(prefix, transform, restat)`` first rewrites every
+        live file.  The spec schema is reshaped only after the commit
+        succeeded (a refused commit leaves the instance untouched and
+        the rewrite outputs to gc) — or at once, if nothing is
+        committed yet."""
+        record = {"epoch": 0, "compaction": True, **record}
+        if m is not None:
+            epoch = record["epoch"] = self._alloc_epoch()
+            fields = {}
+            if rewrite is not None:
+                fields["partitions"], record["files_rewritten"] = \
+                    self._rewrite_live_files(m, epoch, *rewrite)
+            self._commit_edit(m, epoch, record, lambda cur: {
+                **fields,
+                "schema": mf.schema_to_b64(
+                    reshape(mf.schema_from_b64(cur["schema"]))),
+                **(props(cur) if props else {}),
+            }, "quiesced")
+        self.spec.schema = reshape(self.spec.schema)
+        return record
+
+    def _rewrite_live_files(self, m: dict, epoch: int, prefix: str,
+                            transform, restat) -> tuple[dict, int]:
+        """Rewrite every live file of ``m`` through ``transform``
+        (``_file_rewriter``: one Ray task per file batch, no shuffle)
+        and remap ``files`` + ``file_stats`` (via ``restat``) to the
+        rewritten paths.  Returns (partitions, files rewritten)."""
+        all_files = [(int(p), f) for p, info in m["partitions"].items()
+                     for f in info["files"]]
         remap: dict[str, str] = {}
         if all_files:
             rows = pa.table({
                 "part": pa.array([p for p, _ in all_files], pa.int32()),
                 "file": pa.array([f for _, f in all_files], pa.string()),
             })
-            rewrite = _rename_rewriter(self.root, spec.name, epoch,
-                                       old, new)
             out = (
                 rd.from_arrow(rows)
                 .repartition(min(len(all_files), 64))
-                .map_batches(rewrite, batch_format="pyarrow")
+                .map_batches(_file_rewriter(self.root, self.spec.name,
+                                            epoch, prefix, transform),
+                             batch_format="pyarrow")
                 .take_all()
             )
             remap = {r["src"]: r["dst"] for r in out}
-
-        def _ren_stats(st: dict | None) -> dict | None:
-            if st is None:
-                return None
-            return {(new if c == old else c): v for c, v in st.items()}
-
-        partitions = {}
-        for p, info in m["partitions"].items():
-            fstats = info.get("file_stats", {})
-            partitions[p] = {
+        partitions = {
+            p: {
                 **info,
                 "files": [remap[f] for f in info["files"]],
-                "file_stats": {remap[f]: _ren_stats(st)
-                               for f, st in fstats.items()
-                               if f in remap},
+                "file_stats": {
+                    remap[f]: None if st is None else restat(st)
+                    for f, st in info.get("file_stats", {}).items()
+                    if f in remap
+                },
             }
-        record = {"epoch": epoch, "compaction": True,
-                  "ddl": "rename_column", "from": old, "to": new,
-                  "files_rewritten": len(remap)}
-        cspec = m.get("cluster_spec")
-        if cspec and old in cspec.get("cols", []):
-            cspec = {**cspec, "cols": [new if c == old else c
-                                       for c in cspec["cols"]]}
-        ddl_renames = _merge_ddl_renames(
-            m.get("renamed_cols", {}), {old: new})
-        manifest = {
-            **m,
-            "epoch": epoch,
-            "epoch_hwm": max(self._epoch_hwm, epoch,
-                             m.get("epoch_hwm", 0)),
-            "schema": mf.schema_to_b64(
-                _ren_schema(mf.schema_from_b64(m["schema"]))),
-            "partitions": partitions,
-            "lineage": list(m.get("lineage", [])) + [record],
-            "dropped_cols": sorted(
-                set(m.get("dropped_cols", [])) - {new}),
-            "cluster_spec": cspec,
-            "renamed_cols": ddl_renames,
+            for p, info in m["partitions"].items()
         }
-        # commit first, sync the in-memory spec only on success — a
-        # refused quiesced commit must leave the instance untouched
-        # (the rewrite outputs become invisible orphans for gc)
-        self._commit_quiesced(manifest, m)
-        _sync_spec()
-        return record
+        return partitions, len(remap)
 
     def add_column(self, col: str, typ: pa.DataType,
                    default=None) -> dict:
@@ -2863,8 +2806,7 @@ class CDCLake:
         column physically instead of resurrecting it.  Zone maps gain
         min=max=default for rewritten files."""
         spec = self.spec
-        engine = {"content_sha", "key_hash", "part"}
-        if not col or col in engine:
+        if not col or col in _ENGINE_COLS:
             raise ValueError(
                 f"column name {col!r} is empty or reserved for an "
                 "engine column")
@@ -2884,102 +2826,56 @@ class CDCLake:
             # rewrite work is scheduled
             pa.array([default], typ)
 
-        def _add_schema(s: pa.Schema) -> pa.Schema:
-            return pa.schema(list(s) + [pa.field(col, typ)])
+        def _add_file(t: pa.Table) -> pa.Table:
+            if col in t.column_names:
+                # stale bytes from a dropped-then-readded name — the
+                # add must not resurrect them
+                t = t.drop_columns([col])
+            fill = pa.nulls(t.num_rows, typ) if default is None \
+                else pa.array([default] * t.num_rows, typ)
+            return t.append_column(pa.field(col, typ), fill)
 
-        def _sync_spec():
-            spec.schema = _add_schema(spec.schema)
-            self.dropped_cols = self.dropped_cols - {col}
-            # a rename_column SOURCE being re-added is a real column
-            # again — clear the DDL rename entry or arriving events
-            # named `col` would keep landing on the rename target
-            # (mirrors how dropped_cols is cleared above)
-            if col in spec.rename:
-                spec.rename = {k: v for k, v in spec.rename.items()
-                               if k != col}
+        def _add_stats(st: dict) -> dict:
+            # a dropped-then-readded name may carry a STALE pre-drop
+            # [min,max] for `col`; the rewritten data is all
+            # default/NULL, so always strip the old entry first or
+            # _stats_disprove could wrongly prune files whose rows all
+            # equal the new default (ADVICE r4)
+            st = {k: v for k, v in st.items() if k != col}
+            if isinstance(default, (int, float, str, bool)):
+                st[col] = [default, default]
+            return st
+
+        def props(cur: dict) -> dict:
+            return {
+                "dropped_cols": sorted(
+                    set(cur.get("dropped_cols", [])) - {col}),
+                "renamed_cols": {
+                    k: v for k, v in cur.get("renamed_cols", {}).items()
+                    if k != col
+                },
+            }
 
         m = mf.read_manifest(self.root, spec.name)
-        dropped_now = (set(m.get("dropped_cols", [])) if m
-                       else set(self.dropped_cols))
-        if m is None:
-            _sync_spec()
-            return {"epoch": 0, "ddl": "add_column", "col": col,
-                    "type": str(typ), "compaction": True}
-
-        epoch = self._alloc_epoch()
-        record = {"epoch": epoch, "compaction": True,
-                  "ddl": "add_column", "col": col, "type": str(typ),
-                  "default": None if default is None else str(default)}
-        partitions = m["partitions"]
         # a dropped name being re-added may still have stale bytes in
         # live files (drop is logical) — force the rewrite, which
         # replaces the old column physically instead of resurrecting it
-        if default is not None or col in dropped_now:
-            all_files = [
-                (int(p), f)
-                for p, info in m["partitions"].items()
-                for f in info["files"]
-            ]
-            remap: dict[str, str] = {}
-            if all_files:
-                rows = pa.table({
-                    "part": pa.array([p for p, _ in all_files],
-                                     pa.int32()),
-                    "file": pa.array([f for _, f in all_files],
-                                     pa.string()),
-                })
-                rewrite = _add_col_rewriter(self.root, spec.name,
-                                            epoch, col, typ, default)
-                out = (
-                    rd.from_arrow(rows)
-                    .repartition(min(len(all_files), 64))
-                    .map_batches(rewrite, batch_format="pyarrow")
-                    .take_all()
-                )
-                remap = {r["src"]: r["dst"] for r in out}
-            def _rewrite_stats(st: dict | None) -> dict | None:
-                # a dropped-then-readded name may carry a STALE pre-drop
-                # [min,max] for `col`; the rewritten data is all
-                # default/NULL, so always strip the old entry first or
-                # _stats_disprove could wrongly prune files whose rows
-                # all equal the new default (ADVICE r4)
-                if st is None:
-                    return None
-                st = {k: v for k, v in st.items() if k != col}
-                if isinstance(default, (int, float, str, bool)):
-                    st[col] = [default, default]
-                return st
-
-            partitions = {}
-            for p, info in m["partitions"].items():
-                fstats = info.get("file_stats", {})
-                partitions[p] = {
-                    **info,
-                    "files": [remap[f] for f in info["files"]],
-                    "file_stats": {
-                        remap[f]: _rewrite_stats(st)
-                        for f, st in fstats.items() if f in remap
-                    },
-                }
-            record["files_rewritten"] = len(remap)
-        manifest = {
-            **m,
-            "epoch": epoch,
-            "epoch_hwm": max(self._epoch_hwm, epoch,
-                             m.get("epoch_hwm", 0)),
-            "schema": mf.schema_to_b64(
-                _add_schema(mf.schema_from_b64(m["schema"]))),
-            "partitions": partitions,
-            "lineage": list(m.get("lineage", [])) + [record],
-            "dropped_cols": sorted(
-                set(m.get("dropped_cols", [])) - {col}),
-            "renamed_cols": {
-                k: v for k, v in m.get("renamed_cols", {}).items()
-                if k != col
-            },
-        }
-        self._commit_quiesced(manifest, m)
-        _sync_spec()
+        rewrite = (("add", _add_file, _add_stats)
+                   if default is not None
+                   or col in (m or {}).get("dropped_cols", []) else None)
+        record = self._commit_ddl(
+            m, {"ddl": "add_column", "col": col, "type": str(typ),
+                "default": None if default is None else str(default)},
+            lambda s: pa.schema(list(s) + [pa.field(col, typ)]),
+            props, rewrite)
+        self.dropped_cols = self.dropped_cols - {col}
+        # a rename_column SOURCE being re-added is a real column again —
+        # clear the DDL rename entry or arriving events named `col`
+        # would keep landing on the rename target (mirrors how
+        # dropped_cols is cleared above)
+        if col in spec.rename:
+            spec.rename = {k: v for k, v in spec.rename.items()
+                           if k != col}
         return record
 
     def widen_column(self, col: str, new_type: pa.DataType) -> dict:
@@ -3000,9 +2896,8 @@ class CDCLake:
         from ..spec import _is_widening
 
         spec = self.spec
-        protected = set(spec.key_cols) | {
-            spec.lsn_col, spec.op_col, spec.content_col,
-        }
+        protected = (*spec.key_cols, spec.lsn_col, spec.op_col,
+                     spec.content_col)
         if col in protected:
             raise ValueError(
                 f"{col!r} is a key/order/op/content column — its type "
@@ -3024,27 +2919,10 @@ class CDCLake:
                  if f.name == col else f for f in s]
             )
 
-        m = mf.read_manifest(self.root, spec.name)
-        if m is None:
-            spec.schema = _widen(spec.schema)
-            return {"epoch": 0, "ddl": "widen_column", "col": col,
-                    "to": str(new_type), "compaction": True}
-        epoch = self._alloc_epoch()
-        record = {"epoch": epoch, "compaction": True,
-                  "ddl": "widen_column", "col": col,
-                  "from": str(old_type), "to": str(new_type)}
-        manifest = {
-            **m,
-            "epoch": epoch,
-            "epoch_hwm": max(self._epoch_hwm, epoch,
-                             m.get("epoch_hwm", 0)),
-            "schema": mf.schema_to_b64(
-                _widen(mf.schema_from_b64(m["schema"]))),
-            "lineage": list(m.get("lineage", [])) + [record],
-        }
-        self._commit_quiesced(manifest, m)
-        spec.schema = _widen(spec.schema)
-        return record
+        return self._commit_ddl(
+            mf.read_manifest(self.root, spec.name),
+            {"ddl": "widen_column", "col": col,
+             "from": str(old_type), "to": str(new_type)}, _widen)
 
     def cluster(self, cols: list[str], files_per_partition: int = 8,
                 order: str = "zorder") -> dict:
@@ -3162,40 +3040,21 @@ class CDCLake:
         by_part: dict[str, list[dict]] = {}
         for s in stats:
             by_part.setdefault(str(s["part"]), []).append(s)
-        # commit under the cross-process lock, folded against the
-        # manifest re-read INSIDE it: delta files appended by a
-        # concurrent writer AFTER this compaction planned are kept
-        # (they were not consumed by the rewrite), and a partition
-        # whose consumed inputs vanished meanwhile (a racing
-        # compaction won) is skipped — its rewrite output becomes an
-        # invisible orphan for gc
-        with mf.commit_lock(self.root, self.spec.name):
-            cur = mf.read_manifest(self.root, self.spec.name)
-            if cur["epoch"] > epoch:
-                # newer DATA commits are safe to fold over (their files
-                # are kept as leftovers; racing compactions are caught
-                # by the consumed-files check) — only layout/DDL/restore
-                # above us makes this rewrite unsound
-                blockers = [
-                    r["epoch"] for r in cur.get("lineage", [])
-                    if r["epoch"] > epoch and (
-                        r.get("reshard")
-                        or r.get("restore_of") is not None
-                        or r.get("ddl")
-                    )
-                ]
-                if blockers:
-                    raise ConcurrentCommitError(
-                        f"compaction epoch {epoch} raced layout/DDL "
-                        f"epoch(s) {blockers}: retry compact()"
-                    )
-            if cur["num_partitions"] != self.spec.num_partitions:
-                raise ConcurrentCommitError(
-                    "partition layout changed under this compaction; "
-                    "re-open the lake and retry"
-                )
+        record = {
+            "epoch": epoch,
+            "compaction": True,
+            "partitions_touched": 0,
+            "rows": int(sum(s["rows"] for s in stats)),
+        }
+
+        def fold(cur: dict) -> dict:
+            # folded against the manifest re-read under the commit
+            # lock: delta files appended by a concurrent writer AFTER
+            # this compaction planned are kept (they were not consumed
+            # by the rewrite), and a partition whose consumed inputs
+            # vanished meanwhile (a racing compaction won) is skipped —
+            # its rewrite output becomes an invisible orphan for gc
             partitions = dict(cur["partitions"])
-            touched = 0
             for p, plan_info in targets.items():
                 cur_info = partitions.get(p, {"files": [],
                                               "watermark": -1, "rows": 0})
@@ -3203,7 +3062,8 @@ class CDCLake:
                 if not consumed <= set(cur_info["files"]):
                     continue  # lost a racing rewrite of this partition
                 rows_ = by_part.get(p, [])
-                touched += bool(rows_)  # all-deleted folds don't count
+                # all-deleted folds don't count as touched
+                record["partitions_touched"] += bool(rows_)
                 leftover = [f for f in cur_info["files"]
                             if f not in consumed]
                 fstats = {f: st for f, st in
@@ -3233,42 +3093,24 @@ class CDCLake:
                     "gated": cur_info.get("gated", 0),
                     "file_stats": fstats,
                 }
-            record = {
-                "epoch": epoch,
-                "compaction": True,
-                "partitions_touched": touched,
-                "rows": int(sum(s["rows"] for s in stats)),
-            }
-            lineage = list(cur.get("lineage", [])) + [record]
-            all_base = all(
-                info.get("base") or not info["files"]
-                for info in partitions.values()
-            )
-            manifest = {
-                "table": self.spec.name,
-                "epoch": epoch,
-                "epoch_hwm": max(self._epoch_hwm, epoch,
-                                 cur.get("epoch_hwm", 0)),
-                "num_partitions": self.spec.num_partitions,
-                "schema": cur["schema"],
+            fields = {
                 "partitions": partitions,
-                "lineage": lineage,
-                "compacted": all_base,
-                "dropped_cols": cur.get("dropped_cols", []),
-                # persist (or refresh) the clustering table property:
-                # an explicit/adopted cluster_by records itself so the
-                # NEXT maintenance compaction re-applies the layout;
-                # compact(cluster_by=[]) clears it
-                "cluster_spec": (
-                    {"cols": list(cluster_by), "order": cluster_order,
-                     "files": int(cluster_files)}
-                    if cluster_by
-                    else (None if clear_spec
-                          else cur.get("cluster_spec"))
-                ),
-                "renamed_cols": cur.get("renamed_cols", {}),
+                "compacted": all(info.get("base") or not info["files"]
+                                 for info in partitions.values()),
             }
-            mf.commit_manifest(self.root, self.spec.name, manifest)
+            # persist (or refresh) the clustering table property: an
+            # explicit/adopted cluster_by records itself so the NEXT
+            # maintenance compaction re-applies the layout;
+            # compact(cluster_by=[]) clears it
+            if cluster_by:
+                fields["cluster_spec"] = {
+                    "cols": list(cluster_by), "order": cluster_order,
+                    "files": int(cluster_files)}
+            elif clear_spec:
+                fields["cluster_spec"] = None
+            return fields
+
+        self._commit_edit(m, epoch, record, fold, "maintenance")
         return record
 
     def gc(self, retain_manifests: int = 1) -> list[str]:

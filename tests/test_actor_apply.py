@@ -357,3 +357,42 @@ def test_sha_rollup_parity_across_paths(tmp_path):
     assert set(ma) == set(mb)
     for p in ma:
         assert ma[p]["sha_rollup"] == mb[p]["sha_rollup"], p
+
+
+def test_actor_lake_dml_verbs_apply_or_refuse(tmp_path):
+    """The DML verbs ActorLake inherits (``delete_where``,
+    ``merge_into``) apply through its ``apply_events`` and land on the
+    same state as on a CDCLake over the same log; a transactional call
+    refuses clearly, because the key index cannot roll back a staged
+    epoch."""
+    import pyarrow.compute as pc
+
+    from standardized_omop_data_etl_ray.pipelines.cdc import LakeTransaction
+
+    def is_py(t):
+        return pc.equal(t.column("lang"), "py").to_numpy(zero_copy_only=False)
+
+    source = rd.from_arrow(pa.table({
+        "repo": ["merge_repo", "merge_repo"],
+        "path": ["new_0.py", "new_1.py"],
+        "commit": ["m1", "m1"], "lang": ["go", "go"],
+        "content": ["merged", "merged"],
+    }))
+    a = ActorLake(tmp_path / "a", TableSpec(name="cdc", num_partitions=4),
+                  pool_size=2)
+    try:
+        b = CDCLake(tmp_path / "b", TableSpec(name="cdc", num_partitions=4))
+        for lake in (a, b):
+            for batch in BATCHES:
+                lake.apply_events(rd.from_arrow(batch))
+            assert lake.delete_where(is_py)["tombstones"] > 0
+            lake.merge_into(source)
+        got = canonical_state(_state(a))
+        assert got.equals(canonical_state(_state(b)))
+        assert "py" not in got.column("lang").to_pylist()
+
+        with pytest.raises(NotImplementedError, match="CDCLake"):
+            a.delete_where(is_py, txn=LakeTransaction(str(tmp_path / "a")))
+        assert canonical_state(_state(a)).equals(got)
+    finally:
+        a.kill_pool()

@@ -7,6 +7,7 @@ to the single-process oracle.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pandas as pd
@@ -883,6 +884,30 @@ def test_reshard_preserves_state_and_exactly_once(tmp_path):
     assert net.count() > 0
 
 
+def test_reshard_guards_redelivery_into_empty_partitions(tmp_path):
+    """A new partition the reshard rewrite leaves EMPTY still carries
+    the min of the old watermarks: a key deleted and compacted away
+    before the reshard must not be resurrected by a redelivered
+    pre-delete insert that hashes into such a partition."""
+    ins = pa.table({"op": ["I", "I"], "lsn": pa.array([1, 2], pa.int64()),
+                    "repo": ["r", "r"], "path": ["a", "b"],
+                    "commit": ["c", "c"], "lang": ["py", "py"],
+                    "content": ["x", "y"]})
+    dele = pa.table({"op": ["D"], "lsn": pa.array([3], pa.int64()),
+                     "repo": ["r"], "path": ["a"], "commit": [None],
+                     "lang": [None], "content": [None]}).cast(ins.schema)
+    lake = CDCLake(tmp_path, _spec(2))
+    lake.apply_events(rd.from_arrow(ins))
+    lake.apply_events(rd.from_arrow(dele))
+    lake.compact()  # drops a's tombstone (at/below the watermark)
+    lake.reshard(16)
+    m = mf.read_manifest(str(tmp_path), "cdc")
+    assert len(m["partitions"]) == 16
+    assert all(i["watermark"] >= 2 for i in m["partitions"].values())
+    lake.apply_events(rd.from_arrow(ins))  # redeliver the insert
+    assert sorted(_state(lake).column("path").to_pylist()) == ["b"]
+
+
 def test_dead_letter_queue(tmp_path):
     """dead_letter=True diverts malformed events (null key, null lsn,
     unknown op) to _dead_letter/ instead of failing the epoch; clean
@@ -1565,6 +1590,116 @@ def test_writer_lease_fencing(tmp_path):
     rec = a.apply_events(rd.from_arrow(BATCHES[1]))
     assert rec["epoch"] >= 2
     a.release_writer()
+
+
+def _after_alloc(lake, action):
+    """Hook ``lake._alloc_epoch`` so ``action()`` runs once, right after
+    the verb has claimed its epoch and before it commits."""
+    orig = lake._alloc_epoch
+
+    def alloc():
+        epoch = orig()
+        lake._alloc_epoch = orig
+        action()
+        return epoch
+
+    lake._alloc_epoch = alloc
+
+
+_FENCED_VERBS = {
+    "drop_column": lambda lake, e0: lake.drop_column("lang"),
+    "rename_column": lambda lake, e0: lake.rename_column("commit",
+                                                         "commit_id"),
+    "add_column": lambda lake, e0: lake.add_column("stars", pa.int64(),
+                                                   default=0),
+    "compact": lambda lake, e0: lake.compact(),
+    "reshard": lambda lake, e0: lake.reshard(4),
+    "restore": lambda lake, e0: lake.restore(e0),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(_FENCED_VERBS))
+def test_every_verb_fenced_at_commit_point(tmp_path, verb):
+    """Every verb re-validates the writer lease at its commit point: a
+    lease stolen between epoch allocation and commit refuses the DDL,
+    layout and maintenance commits too, and the manifest stays put."""
+    lake = CDCLake(tmp_path, _spec())
+    lake.acquire_writer(lease_s=60)
+    e0 = lake.apply_events(rd.from_arrow(BATCHES[0]))["epoch"]
+    lake.apply_events(rd.from_arrow(BATCHES[1]))
+    before = mf.read_manifest(str(tmp_path), "cdc")["epoch"]
+    lease = Path(str(tmp_path)) / "cdc" / "_WRITER.json"
+
+    def steal():
+        lease.write_text(json.dumps({
+            "token": "another-writer", "pid": 0,
+            "expires": time.time() + 600,
+        }))
+
+    _after_alloc(lake, steal)
+    with pytest.raises(RuntimeError, match="lease lost"):
+        _FENCED_VERBS[verb](lake, e0)
+    assert mf.read_manifest(str(tmp_path), "cdc")["epoch"] == before
+
+
+def test_ddl_refused_when_manifest_advances(tmp_path):
+    """Quiesced rule: a DDL verb whose planned snapshot was overtaken by
+    another writer's commit refuses instead of overwriting it."""
+    from standardized_omop_data_etl_ray.pipelines.cdc import (
+        ConcurrentCommitError,
+    )
+
+    lake_a = CDCLake(tmp_path, _spec())
+    lake_b = CDCLake(tmp_path, _spec())
+    lake_a.apply_events(rd.from_arrow(BATCHES[0]))
+    _after_alloc(lake_a,
+                 lambda: lake_b.apply_events(rd.from_arrow(BATCHES[1])))
+    with pytest.raises(ConcurrentCommitError, match="quiesced"):
+        lake_a.drop_column("lang")
+    m = mf.read_manifest(str(tmp_path), "cdc")
+    assert "lang" in mf.schema_from_b64(m["schema"]).names
+    assert not m.get("dropped_cols")
+
+
+def test_compact_folds_over_newer_data_commit(tmp_path):
+    """Maintenance rule: a compaction raced by a newer DATA commit still
+    commits; the newer epoch's files survive as leftovers and the state
+    is the LWW of every window."""
+    lake_a = CDCLake(tmp_path, _spec())
+    lake_b = CDCLake(tmp_path, _spec())
+    lake_a.apply_events(rd.from_arrow(BATCHES[0]))
+    lake_a.apply_events(rd.from_arrow(BATCHES[1]))
+    racer = {}
+    _after_alloc(lake_a, lambda: racer.update(
+        lake_b.apply_events(rd.from_arrow(BATCHES[2]))))
+    rec = lake_a.compact()
+    assert rec["partitions_touched"] > 0
+    e_b = racer["epoch"]
+    assert e_b > rec["epoch"]
+    m = mf.read_manifest(str(tmp_path), "cdc")
+    files = [f for info in m["partitions"].values() for f in info["files"]]
+    assert any(f"epoch={e_b:06d}" in f for f in files), "leftovers lost"
+    assert any(f"epoch={rec['epoch']:06d}" in f for f in files)
+    assert_states_equal(_state(lake_a), oracle_apply(
+        pa.concat_tables([BATCHES[0], BATCHES[1], BATCHES[2]])))
+
+
+def test_compact_refused_after_newer_ddl(tmp_path):
+    """Maintenance rule: a compaction raced by a newer DDL epoch refuses
+    (its rewrite was planned against the pre-DDL schema)."""
+    from standardized_omop_data_etl_ray.pipelines.cdc import (
+        ConcurrentCommitError,
+    )
+
+    lake_a = CDCLake(tmp_path, _spec())
+    lake_b = CDCLake(tmp_path, _spec())
+    lake_a.apply_events(rd.from_arrow(BATCHES[0]))
+    lake_a.apply_events(rd.from_arrow(BATCHES[1]))
+    _after_alloc(lake_a, lambda: lake_b.drop_column("lang"))
+    with pytest.raises(ConcurrentCommitError, match="raced layout/DDL"):
+        lake_a.compact()
+    m = mf.read_manifest(str(tmp_path), "cdc")
+    assert m["lineage"][-1].get("ddl") == "drop_column"
 
 
 def test_restore_before_drop_column_resurrects_it(tmp_path):
