@@ -842,6 +842,90 @@ def _watermark_filter(wm_array: np.ndarray, lsn_col: str = "lsn"):
     return fn
 
 
+def _as_events(spec: TableSpec, rows: pa.Table, ops, lsn: int,
+               payload: list[str] | None = None,
+               prefix: str = "") -> pa.Table:
+    """The one builder of SYNTHESIZED CDC events (DML, MERGE INTO,
+    branch merge, replication, seeding): ``rows`` become events in the
+    spec's column order and types.
+
+    ``ops`` is one op code or a per-row string array; every row gets
+    ``lsn``; key columns come from ``rows``, and each payload column
+    ``c`` (default ``spec.payload_cols``) from ``rows[prefix + c]`` —
+    null where ``rows`` lacks it.  A synthesized tombstone carries no
+    payload: every ``D`` row's payload is null."""
+    n = rows.num_rows
+    payload = spec.payload_cols if payload is None else payload
+    if isinstance(ops, str):
+        ops = pa.repeat(pa.scalar(ops), n)
+    elif not isinstance(ops, (pa.Array, pa.ChunkedArray)):
+        ops = pa.array(ops, pa.string())
+    tomb = pc.equal(ops, "D")
+    cols = {
+        spec.op_col: ops,
+        spec.lsn_col: pa.array(np.full(n, lsn, np.int64)),
+        **{k: rows.column(k) for k in spec.key_cols},
+    }
+    for c in payload:
+        typ = spec.schema.field(c).type
+        vals = (rows.column(prefix + c).cast(typ)
+                if prefix + c in rows.column_names else pa.nulls(n, typ))
+        # a null ARRAY, not a null scalar: pyarrow 16 builds invalid
+        # offsets for if_else(mask, null scalar, sliced string array)
+        cols[c] = pc.if_else(tomb, pa.nulls(n, typ), vals)
+    fields = [f for f in spec.schema if f.name in cols]
+    return pa.table([cols[f.name].cast(f.type) for f in fields],
+                    schema=pa.schema(fields))
+
+
+def _change_events(spec: TableSpec, lsn: int,
+                   payload: list[str] | None = None, predicate=None):
+    """Batch function: change rows (the ``changes_between`` /
+    changefeed shape — keys, ``change``, ``old_*``/``new_*``) → CDC
+    events at ``lsn``: ``added``/``updated`` → I with the new image,
+    ``deleted`` → D.  With ``predicate`` (a mask over an UNPREFIXED key
+    + payload image), classification is per ROW IMAGE, which makes
+    scope TRANSITIONS correct: an update whose new image leaves scope
+    becomes a delete (the consumer held the old version), one entering
+    scope an insert, rows never in scope ship nothing, and deletes ship
+    only when the old image was in scope."""
+    payload = spec.payload_cols if payload is None else payload
+
+    def to_events(batch: pa.Table) -> pa.Table:
+        need = ["new_" + c for c in payload]
+        if predicate is not None:
+            need += ["old_" + c for c in payload]
+        missing = [c for c in need if c not in batch.column_names]
+        if missing:
+            raise ValueError(
+                f"change feed lacks payload columns {missing} — export "
+                f"with carry_cols={payload}"
+            )
+        change = batch.column("change")
+        deleted = pc.equal(change, "deleted")
+        if predicate is None:
+            ops = pc.if_else(deleted, pa.scalar("D"), pa.scalar("I"))
+        else:
+            def image(prefix: str) -> pa.Table:
+                return pa.table(
+                    {**{k: batch.column(k) for k in spec.key_cols},
+                     **{c: batch.column(prefix + c) for c in payload}}
+                )
+
+            new_ok = np.asarray(predicate(image("new_")), bool)
+            old_ok = np.asarray(predicate(image("old_")), bool)
+            del_np = deleted.to_numpy(zero_copy_only=False)
+            upd_np = pc.equal(change, "updated").to_numpy(
+                zero_copy_only=False)
+            emit_i = ~del_np & new_ok
+            emit_d = (del_np | (upd_np & ~new_ok)) & old_ok
+            batch = batch.filter(pa.array(emit_i | emit_d))
+            ops = np.where(emit_d[emit_i | emit_d], "D", "I")
+        return _as_events(spec, batch, ops, lsn, payload, prefix="new_")
+
+    return to_events
+
+
 class CDCLake:
     """Single-writer CDC lake table (copy-on-write Parquet + manifests)."""
 
@@ -1118,23 +1202,13 @@ class CDCLake:
         self,
         windows,
         *,
-        max_inflight: int | str = 2,
+        max_inflight: int = 2,
         salt_factor: int = 0,
     ) -> list[dict]:
         """Apply a stream of micro-batch windows with CROSS-EPOCH
         PIPELINING: up to ``max_inflight`` epochs run phase 1 (read →
         standardize → shuffle → delta writes) concurrently; phase-2
         manifest commits stay strictly ordered.
-
-        ``max_inflight="auto"`` adapts the overlap per stream from the
-        measured commit-wait ratio: each committed epoch reports how
-        long the ordered committer blocked on its phase-1 future
-        (``commit_wait_sec``).  A large wait means phase 1 is the
-        bottleneck → admit one more concurrent epoch (up to a cap of
-        16); a near-zero wait means commits are saturated → shed one
-        (floor 2) so extra in-flight epochs stop holding delta blocks
-        in memory for no speedup.  The static integer form is unchanged
-        and remains the reproducible-benchmark mode.
 
         Safe under the binlog-tailing contract (windows carry disjoint,
         increasing lsn ranges): epoch n+1's watermark filter uses the
@@ -1146,56 +1220,11 @@ class CDCLake:
         uncommitted (invisible orphans, reclaimed by gc())."""
         from concurrent.futures import ThreadPoolExecutor
 
-        adaptive = max_inflight == "auto"
-        if adaptive:
-            # seed from cluster size (cpus/4 ≈ the measured-fastest
-            # static setting at 32 cpus) — the controller then only has
-            # to shed or extend, not ramp from cold
-            try:
-                import ray
-
-                cpus = int(ray.cluster_resources().get("CPU", 8))
-            except Exception:
-                cpus = 8
-            cap = 16
-            limit = min(cap, max(2, cpus // 4))
-        else:
-            cap = limit = int(max_inflight)
-
         m = mf.read_manifest(self.root, self.spec.name)
         wm = self._watermarks(m)
         records: list[dict] = []
 
-        win = {"wait": 0.0, "n": 0, "t0": time.time()}
-
-        def _commit_and_adapt() -> None:
-            nonlocal limit
-            rec = self._commit_next(pending, wm)
-            records.append(rec)
-            if not adaptive:
-                return
-            # Per-commit wait is a noisy signal under ordered commits
-            # (one long wait on epoch n means n+1..n+k are already done
-            # and report 0), so adapt once per WINDOW of `limit`
-            # commits on the fraction of driver wall the committer
-            # spent blocked on phase-1 futures.  ≥10% blocked →
-            # phase-1 bound, double the overlap (slow-start: an
-            # additive ramp needs cap-2 commits to converge, which
-            # dominates short streams); <1% → commits saturated, step
-            # down so idle in-flight epochs stop pinning delta blocks.
-            win["wait"] += rec.get("commit_wait_sec", 0.0)
-            win["n"] += 1
-            if win["n"] < limit:
-                return
-            elapsed = max(time.time() - win["t0"], 1e-6)
-            ratio = win["wait"] / elapsed
-            if ratio > 0.10 and limit < cap:
-                limit = min(cap, limit * 2)
-            elif ratio < 0.01 and limit > 2:
-                limit -= 1
-            win.update(wait=0.0, n=0, t0=time.time())
-
-        with ThreadPoolExecutor(max_workers=cap) as ex:
+        with ThreadPoolExecutor(max_workers=max_inflight) as ex:
             pending: list[tuple[int, object, float]] = []
             for i, w in enumerate(windows):
                 from ..stages.joins import _as_arrow_schema
@@ -1212,10 +1241,10 @@ class CDCLake:
                     self._phase1, w, epoch, wm.copy(), salt_factor, spec_snap,
                 )
                 pending.append((epoch, fut, time.time(), spec_snap))
-                while len(pending) >= limit:
-                    _commit_and_adapt()
+                while len(pending) >= max_inflight:
+                    records.append(self._commit_next(pending, wm))
             while pending:
-                _commit_and_adapt()
+                records.append(self._commit_next(pending, wm))
         return records
 
     def _commit_next(self, pending, wm: np.ndarray) -> dict:
@@ -1986,10 +2015,17 @@ class CDCLake:
         # for every epoch whose data files are shared with the fork
         # point (merge-on-read accumulates, so that is most of them);
         # epochs whose files were compacted away fail loudly, never
-        # silently (same contract as gc-expired snapshots)
+        # silently (same contract as gc-expired snapshots).  Only the
+        # fork snapshot's own LINEAGE travels: later source snapshots
+        # are not the branch's history (and a mid-stream compaction's
+        # number may exceed the data epoch committed after it, so
+        # membership, not ``<= epoch``, decides)
         (dst_troot / "_manifests").mkdir(parents=True, exist_ok=True)
-        for mj in (src_troot / "_manifests").glob("manifest-*.json"):
-            link(mj, dst_troot / "_manifests" / mj.name)
+        for e in {r["epoch"] for r in m.get("lineage", [])}:
+            name = f"manifest-{e:06d}.json"
+            if (src_troot / "_manifests" / name).exists():
+                link(src_troot / "_manifests" / name,
+                     dst_troot / "_manifests" / name)
         from dataclasses import replace as _dc_replace
 
         dest = CDCLake(dest_root, _dc_replace(self.spec),
@@ -2081,14 +2117,10 @@ class CDCLake:
                 f"replay the branch instead of merging"
             )
         key_cols = list(spec.key_cols)
-        payload_cols = [
-            f.name for f in spec.schema
-            if f.name not in (spec.op_col, spec.lsn_col, *key_cols)
-        ]
         from ..stages.joins import nonempty_arrow_blocks
 
         changes = branch.changes_between(
-            fork_epoch, carry_cols=payload_cols
+            fork_epoch, carry_cols=spec.payload_cols
         ).materialize()
         base = {
             "merged_from": str(Path(branch.root) / branch.spec.name),
@@ -2154,30 +2186,7 @@ class CDCLake:
                             "conflicts": int(conflicts),
                             "committed": True}
 
-        base_lsn = self._max_committed_lsn(pm) + 1
-        lsn_t = spec.schema.field(spec.lsn_col).type
-        ev_schema = spec.schema
-
-        def to_events(batch: pa.Table) -> pa.Table:
-            is_d = pc.equal(batch.column("change"), "deleted")
-            n = batch.num_rows
-            cols: dict[str, pa.Array | pa.ChunkedArray] = {}
-            for f in ev_schema:
-                if f.name == spec.op_col:
-                    cols[f.name] = pc.if_else(
-                        is_d, pa.scalar("D"), pa.scalar("I"))
-                elif f.name == spec.lsn_col:
-                    cols[f.name] = pa.array(
-                        np.full(n, base_lsn, np.int64)).cast(lsn_t)
-                elif f.name in key_cols:
-                    cols[f.name] = batch.column(f.name)
-                else:
-                    arr = batch.column("new_" + f.name).cast(f.type)
-                    # deletes carry no payload, like a source tombstone
-                    cols[f.name] = pc.if_else(
-                        is_d, pa.scalar(None, f.type), arr)
-            return pa.table(cols).cast(ev_schema)
-
+        to_events = _change_events(spec, self._max_committed_lsn(pm) + 1)
         events = changes.map_batches(to_events, batch_format="pyarrow")
         rec = self.apply_events(events, txn=txn)
         rec.update(base)
@@ -2319,53 +2328,36 @@ class CDCLake:
                         hi = max(hi, int(col.statistics.max))
         return hi
 
-    def _dml_events(self, predicate, make_rows) -> tuple[rd.Dataset, int]:
+    def _dml_events(self, predicate, make_rows, op: str) -> rd.Dataset:
         """Shared DML scaffolding: scan the live state map-only, select
-        rows with ``predicate`` (batch → bool mask), synthesize events
-        via ``make_rows(selected, lsn)`` with an LSN above EVERY
-        committed watermark — so the synthesized events win LWW and a
-        later redelivery of the historical log cannot resurrect or
-        un-update the affected keys."""
+        rows with ``predicate`` (batch → bool mask), and turn
+        ``make_rows(selected)`` into ``op`` events with an LSN above
+        EVERY committed watermark — so the synthesized events win LWW
+        and a later redelivery of the historical log cannot resurrect
+        or un-update the affected keys."""
         m = mf.read_manifest(self.root, self.spec.name)
         base_lsn = self._max_committed_lsn(m) + 1
         state = self.read_state(drop_engine_cols=True)
-        ev_schema = self.spec.schema
+        spec = self.spec
 
         def synth(batch: pa.Table) -> pa.Table:
             mask = np.asarray(predicate(batch), dtype=bool)
-            sel = batch.filter(pa.array(mask))
-            return make_rows(sel, base_lsn).cast(ev_schema)
+            return _as_events(spec, make_rows(batch.filter(pa.array(mask))),
+                              op, base_lsn)
 
-        return state.map_batches(synth, batch_format="pyarrow"), base_lsn
+        return state.map_batches(synth, batch_format="pyarrow")
 
     def delete_where(self, predicate, *, txn: "LakeTransaction | None" = None) -> dict:
         """Predicate DML: ``DELETE FROM <table> WHERE predicate`` — the
         GDPR-erasure path the raw event log cannot express (the keys to
         erase are defined by their CURRENT payload, not by upstream
-        events).  One map-only state scan emits a tombstone per
-        matching key at an LSN above every committed watermark, applied
-        as one ordinary epoch — exactly-once, time-travelable, visible
-        to change feeds and incremental views like any other commit.
+        events).  One map-only state scan emits a tombstone (no
+        payload) per matching key at an LSN above every committed
+        watermark, applied as one ordinary epoch — exactly-once,
+        time-travelable, visible to change feeds and incremental views
+        like any other commit.
         ``predicate``: batch (Arrow, payload columns) → bool mask."""
-        key_cols = set(self.spec.key_cols)
-        op_col, lsn_col = self.spec.op_col, self.spec.lsn_col
-
-        def tombstones(sel: pa.Table, lsn: int) -> pa.Table:
-            n = sel.num_rows
-            cols = {}
-            for f in self.spec.schema:
-                if f.name == op_col:
-                    cols[f.name] = pa.array(["D"] * n, pa.string())
-                elif f.name == lsn_col:
-                    cols[f.name] = pa.array(
-                        np.full(n, lsn, dtype=np.int64), f.type)
-                elif f.name in key_cols:
-                    cols[f.name] = sel.column(f.name)
-                else:
-                    cols[f.name] = pa.nulls(n, f.type)
-            return pa.table(cols)
-
-        events, _ = self._dml_events(predicate, tombstones)
+        events = self._dml_events(predicate, lambda sel: sel, "D")
         return self.apply_events(events, txn=txn)
 
     def update_where(self, predicate, set_fn, *,
@@ -2379,23 +2371,20 @@ class CDCLake:
         whose new payload fails the gate is retracted — the DML analog
         of a failing arriving event) and with patch lakes (full-row
         updates win the column fold)."""
-        op_col, lsn_col = self.spec.op_col, self.spec.lsn_col
+        payload = self.spec.payload_cols
 
-        def updates(sel: pa.Table, lsn: int) -> pa.Table:
+        def updated(sel: pa.Table) -> pa.Table:
             out = set_fn(sel) if sel.num_rows else sel
-            n = out.num_rows
-            cols = {}
-            for f in self.spec.schema:
-                if f.name == op_col:
-                    cols[f.name] = pa.array(["U"] * n, pa.string())
-                elif f.name == lsn_col:
-                    cols[f.name] = pa.array(
-                        np.full(n, lsn, dtype=np.int64), f.type)
-                else:
-                    cols[f.name] = out.column(f.name)
-            return pa.table(cols)
+            # the event builder nulls absent columns (MERGE INTO's
+            # contract); here an absent column would erase live values
+            missing = [c for c in payload if c not in out.column_names]
+            if missing:
+                raise ValueError(
+                    f"update_where: set_fn dropped payload columns "
+                    f"{missing}; return every payload column")
+            return out
 
-        events, _ = self._dml_events(predicate, updates)
+        events = self._dml_events(predicate, updated, "U")
         return self.apply_events(events, txn=txn)
 
     def merge_into(self, source: rd.Dataset, *,
@@ -2438,7 +2427,6 @@ class CDCLake:
         }
         state_schema = (mf.schema_from_b64(m["schema"]) if m
                         else self._state_schema())
-        ev_schema = spec.schema
         num_parts = spec.num_partitions
 
         def route(batch: pa.Table) -> pa.Table:
@@ -2481,34 +2469,9 @@ class CDCLake:
             if when_not_matched == "ignore":
                 keep &= matched
             j = j.filter(pa.array(keep))
-            mk = matched[keep]
-            op = np.where(
-                mk, "D" if when_matched == "delete" else "U", "I")
-            n = j.num_rows
-            cols = {}
-            for f in ev_schema:
-                if f.name == op_col:
-                    cols[f.name] = pa.array(op, pa.string())
-                elif f.name == lsn_col:
-                    cols[f.name] = pa.array(
-                        np.full(n, base_lsn, dtype=np.int64), f.type)
-                elif f.name in j.column_names:
-                    cols[f.name] = j.column(f.name)
-                else:
-                    cols[f.name] = pa.nulls(n, f.type)
-            out = pa.table(cols)
-            if when_matched == "delete":
-                # deletes carry no payload
-                null_mask = pa.array(op == "D")
-                for f in ev_schema:
-                    if f.name in (op_col, lsn_col, *key_cols):
-                        continue
-                    out = out.set_column(
-                        out.schema.get_field_index(f.name), f.name,
-                        pc.if_else(null_mask, pa.nulls(n, f.type),
-                                   out.column(f.name)),
-                    )
-            return out.cast(ev_schema)
+            op = np.where(matched[keep],
+                          "D" if when_matched == "delete" else "U", "I")
+            return _as_events(spec, j, op, base_lsn)
 
         events = (
             source.map_batches(route, batch_format="pyarrow")
@@ -3136,9 +3099,7 @@ class CDCLake:
         payloads, not increments."""
         out = Path(out_root)
         out.mkdir(parents=True, exist_ok=True)
-        cursor = out / "_CURSOR.json"
-        last = (json.loads(cursor.read_text())["epoch"]
-                if cursor.exists() else 0)
+        last = _read_cursor(_export_cursor(out))
         m = mf.read_manifest(self.root, self.spec.name)
         cur = m["epoch"] if m else 0
         if cur <= last:
@@ -3167,11 +3128,7 @@ class CDCLake:
             pq.write_table(t, tmp)
             tmp.replace(d / f"changes-{i:05d}.parquet")
             n += t.num_rows
-        tmpc = out / "_CURSOR.json.tmp"
-        tmpc.write_text(json.dumps({"epoch": cur}))
-        with open(tmpc, "rb") as fh:
-            os.fsync(fh.fileno())
-        tmpc.replace(cursor)
+        _write_cursor(_export_cursor(out), cur)
         return {"from_epoch": last, "to_epoch": cur, "rows": n,
                 "exported": True}
 
@@ -3276,78 +3233,81 @@ class LakeTransaction:
         return gid
 
 
-def _span_events(d: Path, spec: TableSpec, payload_cols: list[str],
+# -- changefeed replication -------------------------------------------
+# The feed's on-disk format, read and written only through the helpers
+# below: ``span=<lo>-<hi>/changes-*.parquet`` directories (six-digit
+# epochs), the exporter cursor in the feed root and each consumer's
+# cursor in its replica table directory, both ``{"epoch": e}``.
+
+
+def _export_cursor(feed) -> Path:
+    return Path(feed) / "_CURSOR.json"
+
+
+def _replica_cursor(dest: "CDCLake") -> Path:
+    return Path(dest.root) / dest.spec.name / "_replica_cursor.json"
+
+
+def _read_cursor(path: Path) -> int:
+    """A cursor's epoch; 0 when it was never written."""
+    return int(json.loads(path.read_text())["epoch"]) if path.exists() else 0
+
+
+def _write_cursor(path: Path, epoch: int) -> None:
+    """Durably move a cursor: temp write, fsync, atomic replace."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(".json.tmp")
+    tmp.write_text(json.dumps({"epoch": epoch}))
+    with open(tmp, "rb") as fh:
+        os.fsync(fh.fileno())
+    tmp.replace(path)
+
+
+def _feed_spans(feed: Path) -> list[tuple[int, int, Path]]:
+    """The feed's span directories as a sorted ``(lo, hi, dir)`` list."""
+    spans = []
+    for d in feed.glob("span=*"):
+        lo, _, hi = d.name[len("span="):].partition("-")
+        spans.append((int(lo), int(hi), d))
+    return sorted(spans)
+
+
+def _consumable_spans(feed: Path, cursor: int):
+    """Yield, in order, the spans a consumer at ``cursor`` applies next:
+    those above it up to the EXPORTER's durable cursor (a crashed
+    export's half-written span above that cursor stays invisible until
+    it advances).  A span that does not start where the consumer
+    stands — the feed was pruned or rebuilt — fails loudly instead of
+    silently skipping changes."""
+    exp_epoch = _read_cursor(_export_cursor(feed))
+    for lo, hi, d in _feed_spans(feed):
+        if hi <= cursor:
+            continue  # already consumed
+        if hi > exp_epoch:
+            return
+        if lo != cursor:
+            raise ValueError(
+                f"changefeed gap in {str(feed)!r}: replica cursor is at "
+                f"source epoch {cursor} but the next span is {d.name} — "
+                f"the feed was pruned or rebuilt; re-seed the replica "
+                f"from a full snapshot"
+            )
+        yield lo, hi, d
+        cursor = hi
+
+
+def _span_events(d: Path, spec: TableSpec, payload_cols: list[str] | None,
                  span_lsn: int, predicate) -> "rd.Dataset | None":
-    """Synthesize one span's replica CDC events (the shared core of
-    ``replicate_changefeed`` and ``replicate_group``): added/updated →
-    I with the new payload, deleted → D, all at ``lsn = span_lsn``;
-    with ``predicate``, per-row-IMAGE classification turns scope
-    transitions into replica deletes/inserts.  Returns None for a span
-    with no change files."""
+    """One span's replica CDC events at ``lsn = span_lsn`` (the shared
+    core of ``replicate_changefeed`` and ``replicate_group``; see
+    ``_change_events``).  Returns None for a span with no change
+    files."""
     files = sorted(str(p) for p in d.glob("changes-*.parquet"))
     if not files:
         return None
-    lsn_t = spec.schema.field(spec.lsn_col).type
-
-    def to_events(batch: pa.Table) -> pa.Table:
-        need = ["new_" + c for c in payload_cols]
-        if predicate is not None:
-            need += ["old_" + c for c in payload_cols]
-        missing = [c for c in need if c not in batch.column_names]
-        if missing:
-            raise ValueError(
-                f"feed lacks payload columns {missing} — export "
-                f"with carry_cols={payload_cols}"
-            )
-        change = batch.column("change")
-        deleted = pc.equal(change, "deleted")
-        if predicate is None:
-            is_d = deleted
-        else:
-            # classify per ROW IMAGE: scope transitions become
-            # replica deletes/inserts (see replicate_changefeed)
-            def image(prefix: str) -> pa.Table:
-                return pa.table(
-                    {**{k: batch.column(k) for k in spec.key_cols},
-                     **{c: batch.column(prefix + c)
-                        for c in payload_cols}}
-                )
-
-            new_ok = np.asarray(predicate(image("new_")), bool)
-            old_ok = np.asarray(predicate(image("old_")), bool)
-            del_np = deleted.to_numpy(zero_copy_only=False)
-            upd_np = pc.equal(change, "updated").to_numpy(
-                zero_copy_only=False)
-            emit_i = ~del_np & new_ok
-            emit_d = (del_np | (upd_np & ~new_ok)) & old_ok
-            keep = pa.array(emit_i | emit_d)
-            batch = batch.filter(keep)
-            is_d = pa.array(emit_d[emit_i | emit_d])
-        cols: dict[str, pa.ChunkedArray | pa.Array] = {
-            spec.op_col: pc.if_else(
-                is_d, pa.scalar("D"), pa.scalar("I")
-            ),
-            spec.lsn_col: pa.array(
-                np.full(batch.num_rows, span_lsn, np.int64)
-            ).cast(lsn_t),
-        }
-        for k in spec.key_cols:
-            cols[k] = batch.column(k)
-        for c in payload_cols:
-            arr = batch.column("new_" + c).cast(
-                spec.schema.field(c).type
-            )
-            if predicate is not None:
-                # out-of-scope-update deletes carry a live new
-                # image — null it like a source tombstone would
-                arr = pc.if_else(
-                    is_d, pa.scalar(None, arr.type), arr
-                )
-            cols[c] = arr
-        return pa.table(cols)
-
     return rd.read_parquet(files).map_batches(
-        to_events, batch_format="pyarrow"
+        _change_events(spec, span_lsn, payload_cols, predicate),
+        batch_format="pyarrow",
     )
 
 
@@ -3364,27 +3324,28 @@ def replicate_changefeed(
 
     Each span becomes ONE replica epoch: its change rows are
     re-synthesized as CDC events (``added``/``updated`` → I with the
-    ``new_*`` payload, ``deleted`` → D) with ``lsn = span end epoch`` —
-    net spans carry at most one row per key, and span end epochs are
-    strictly increasing, so per-key LWW order is exact.  Exactly-once
-    end to end, with no coordination between the two lakes:
+    ``new_*`` payload, ``deleted`` → D with no payload) with ``lsn =
+    span end epoch`` — net spans carry at most one row per key, and
+    span end epochs are strictly increasing, so per-key LWW order is
+    exact.  Exactly-once end to end, with no coordination between the
+    two lakes:
 
       * only spans at or below the EXPORTER's durable cursor are
         consumed — a crashed export's half-written span directory is
         invisible until its cursor advances (and is then re-read in
         its rewritten, content-identical form);
-      * the replica's own durable cursor (``_replica_cursor.json`` in
-        the replica table directory) advances only AFTER the span's
-        epoch commits; a crash before that re-applies the span, whose
-        events die at the replica's watermark filter (lsn <= committed
-        watermark), exactly like a redelivered source window;
+      * the replica's own durable cursor (in the replica table
+        directory) advances only AFTER the span's epoch commits; a
+        crash before that re-applies the span, whose events die at the
+        replica's watermark filter (lsn <= committed watermark),
+        exactly like a redelivered source window;
       * span chain gaps (a cursor that does not meet the next span's
         start — e.g. the feed was gc'd or rebuilt after a restore())
         fail LOUDLY instead of silently skipping changes.
 
-    ``payload_cols`` defaults to every replica-spec column that is not
-    a key / lsn / op column; the feed must have been exported with
-    ``carry_cols`` covering them (missing payload columns raise).
+    ``payload_cols`` defaults to the replica spec's ``payload_cols``;
+    the feed must have been exported with ``carry_cols`` covering them
+    (missing payload columns raise).
 
     ``predicate`` makes this a ROW-FILTERED subscription (Postgres
     logical-replication row filters / Debezium SMT shape): a callable
@@ -3397,52 +3358,18 @@ def replicate_changefeed(
     in scope.  Invariant (tested): replica state == predicate-filtered
     source state, regardless of span boundaries.
     """
-    feed = Path(feed_root)
-    exp_cursor_p = feed / "_CURSOR.json"
-    exp_epoch = (json.loads(exp_cursor_p.read_text())["epoch"]
-                 if exp_cursor_p.exists() else 0)
-    spec = dest.spec
-    if payload_cols is None:
-        reserved = set(spec.key_cols) | {spec.lsn_col, spec.op_col}
-        payload_cols = [f.name for f in spec.schema
-                        if f.name not in reserved]
-    tdir = Path(dest.root) / spec.name
-    tdir.mkdir(parents=True, exist_ok=True)
-    rep_cursor_p = tdir / "_replica_cursor.json"
-    cursor = (json.loads(rep_cursor_p.read_text())["epoch"]
-              if rep_cursor_p.exists() else 0)
-
-    spans = []  # (from_epoch, to_epoch, dir)
-    for d in feed.glob("span=*"):
-        lo_s, _, hi_s = d.name[len("span="):].partition("-")
-        spans.append((int(lo_s), int(hi_s), d))
-    spans.sort()
-
+    rep_cursor = _replica_cursor(dest)
+    cursor = _read_cursor(rep_cursor)
     applied = 0
     rows = 0
-    for lo, hi, d in spans:
-        if hi <= cursor:
-            continue  # already folded into the replica
-        if hi > exp_epoch:
-            break  # beyond the exporter's durable cursor: may be half-written
-        if lo != cursor:
-            raise ValueError(
-                f"changefeed gap: replica cursor is at source epoch "
-                f"{cursor} but the next span is {d.name} — the feed "
-                f"was pruned or rebuilt; re-seed the replica from a "
-                f"full snapshot"
-            )
-        events = _span_events(d, spec, payload_cols, hi, predicate)
+    for _lo, hi, d in _consumable_spans(Path(feed_root), cursor):
+        events = _span_events(d, dest.spec, payload_cols, hi, predicate)
         if events is not None:
             rec = dest.apply_events(events)
             rows += int(rec.get("rows_upserted", 0) + rec.get("tombstones", 0))
+        _write_cursor(rep_cursor, hi)
         cursor = hi
         applied += 1
-        tmp = rep_cursor_p.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps({"epoch": cursor}))
-        with open(tmp, "rb") as fh:
-            os.fsync(fh.fileno())
-        tmp.replace(rep_cursor_p)
     return {"spans_applied": applied, "rows": rows, "cursor": cursor}
 
 
@@ -3456,21 +3383,18 @@ def prune_changefeed(feed_root: str, before_epoch: int) -> dict:
     import shutil
 
     feed = Path(feed_root)
-    exp_cursor_p = feed / "_CURSOR.json"
-    exp_epoch = (json.loads(exp_cursor_p.read_text())["epoch"]
-                 if exp_cursor_p.exists() else 0)
+    exp_epoch = _read_cursor(_export_cursor(feed))
     if before_epoch > exp_epoch:
         raise ValueError(
             f"cannot prune past the exporter cursor ({exp_epoch}) — "
             f"a span may still be mid-write above it"
         )
-    removed = []
-    for d in feed.glob("span=*"):
-        _, _, hi_s = d.name[len("span="):].partition("-")
-        if int(hi_s) <= before_epoch:
+    removed = 0
+    for _lo, hi, d in _feed_spans(feed):
+        if hi <= before_epoch:
             shutil.rmtree(d)
-            removed.append(d.name)
-    return {"spans_removed": len(removed), "before_epoch": before_epoch}
+            removed += 1
+    return {"spans_removed": removed, "before_epoch": before_epoch}
 
 
 def seed_replica(
@@ -3509,27 +3433,25 @@ def seed_replica(
     if at_epoch is not None:
         epoch = int(at_epoch)
     elif feed_root is not None:
-        cur = Path(feed_root) / "_CURSOR.json"
-        if not cur.exists():
+        if not _export_cursor(feed_root).exists():
             raise ValueError(
                 f"feed {feed_root!r} has no exporter cursor — nothing "
                 f"was ever exported; seed at an explicit at_epoch"
             )
-        epoch = int(json.loads(cur.read_text())["epoch"])
+        epoch = _read_cursor(_export_cursor(feed_root))
     else:
         epoch = m["epoch"]
     spec = dest.spec
-    tdir = Path(dest.root) / spec.name
-    tdir.mkdir(parents=True, exist_ok=True)
-    rep_cursor_p = tdir / "_replica_cursor.json"
-    pend_p = tdir / "_seed_pending.json"
+    rep_cursor = _replica_cursor(dest)
+    rep_cursor.parent.mkdir(parents=True, exist_ok=True)
+    pend_p = rep_cursor.parent / "_seed_pending.json"
     if mf.read_manifest(dest.root, spec.name):
         # non-empty replica: only a CRASHED seed of this same epoch may
         # resume (its re-apply dies at the watermark); anything else is
         # a stale replica the snapshot cannot tombstone
         pend = (json.loads(pend_p.read_text())
                 if pend_p.exists() else None)
-        if rep_cursor_p.exists() or not pend or pend["epoch"] != epoch:
+        if rep_cursor.exists() or not pend or pend["epoch"] != epoch:
             raise ValueError(
                 "seed_replica requires an empty replica — a stale "
                 "replica may hold keys the snapshot cannot tombstone; "
@@ -3537,33 +3459,14 @@ def seed_replica(
             )
     pend_p.write_text(json.dumps({"epoch": epoch}))
     if payload_cols is None:
-        reserved = set(spec.key_cols) | {spec.lsn_col, spec.op_col}
-        payload_cols = [f.name for f in spec.schema
-                        if f.name not in reserved]
-    lsn_t = spec.schema.field(spec.lsn_col).type
+        payload_cols = spec.payload_cols
 
     def to_events(batch: pa.Table) -> pa.Table:
+        # the batch IS the key + payload image the predicate expects
         if predicate is not None:
-            img = pa.table(
-                {**{k: batch.column(k) for k in spec.key_cols},
-                 **{c: batch.column(c) for c in payload_cols}}
-            )
             batch = batch.filter(
-                pa.array(np.asarray(predicate(img), bool))
-            )
-        cols: dict[str, pa.ChunkedArray | pa.Array] = {
-            spec.op_col: pa.array(
-                np.full(batch.num_rows, "I"), pa.string()
-            ),
-            spec.lsn_col: pa.array(
-                np.full(batch.num_rows, epoch, np.int64)
-            ).cast(lsn_t),
-        }
-        for k in spec.key_cols:
-            cols[k] = batch.column(k)
-        for c in payload_cols:
-            cols[c] = batch.column(c).cast(spec.schema.field(c).type)
-        return pa.table(cols)
+                pa.array(np.asarray(predicate(batch), bool)))
+        return _as_events(spec, batch, "I", epoch, payload_cols)
 
     state = src.read_state(at_epoch=epoch).select_columns(
         list(spec.key_cols) + payload_cols
@@ -3571,11 +3474,7 @@ def seed_replica(
     rec = dest.apply_events(state.map_batches(
         to_events, batch_format="pyarrow"
     ))
-    tmp = rep_cursor_p.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps({"epoch": epoch}))
-    with open(tmp, "rb") as fh:
-        os.fsync(fh.fileno())
-    tmp.replace(rep_cursor_p)
+    _write_cursor(rep_cursor, epoch)
     pend_p.unlink(missing_ok=True)
     return {"seed_epoch": epoch,
             "rows": int(rec.get("rows_upserted", 0))}
@@ -3588,17 +3487,10 @@ def changefeed_lag(feed_root: str, dest: "CDCLake") -> dict:
     directories (at or below the exporter cursor) above the replica
     cursor."""
     feed = Path(feed_root)
-    exp_cursor_p = feed / "_CURSOR.json"
-    exp_epoch = (json.loads(exp_cursor_p.read_text())["epoch"]
-                 if exp_cursor_p.exists() else 0)
-    rep_cursor_p = Path(dest.root) / dest.spec.name / "_replica_cursor.json"
-    cursor = (json.loads(rep_cursor_p.read_text())["epoch"]
-              if rep_cursor_p.exists() else 0)
-    pending = 0
-    for d in feed.glob("span=*"):
-        lo_s, _, hi_s = d.name[len("span="):].partition("-")
-        if int(lo_s) >= cursor and int(hi_s) <= exp_epoch:
-            pending += 1
+    exp_epoch = _read_cursor(_export_cursor(feed))
+    cursor = _read_cursor(_replica_cursor(dest))
+    pending = sum(1 for lo, hi, _d in _feed_spans(feed)
+                  if lo >= cursor and hi <= exp_epoch)
     return {"exporter_epoch": exp_epoch, "replica_cursor": cursor,
             "epochs_behind": max(0, exp_epoch - cursor),
             "spans_pending": pending}
@@ -3624,10 +3516,8 @@ def state_checksum(
     checksum to in-scope rows (same callable shape as the row-filtered
     subscription predicates)."""
     spec = lake.spec
-    if cols is None:
-        reserved = {spec.lsn_col, spec.op_col}
-        cols = [f.name for f in spec.schema if f.name not in reserved]
-    cols = list(cols)
+    cols = list(spec.key_cols) + spec.payload_cols if cols is None \
+        else list(cols)
 
     def part(batch: pa.Table) -> pa.Table:
         if predicate is not None:
@@ -3673,9 +3563,7 @@ def verify_replica(
     leaves the workers — each side folds to one (sum, count) pair."""
     spec = dest.spec
     if payload_cols is None:
-        reserved = set(spec.key_cols) | {spec.lsn_col, spec.op_col}
-        payload_cols = [f.name for f in spec.schema
-                        if f.name not in reserved]
+        payload_cols = spec.payload_cols
     cols = list(spec.key_cols) + list(payload_cols)
     a = state_checksum(src, cols=cols, at_epoch=at_epoch,
                        predicate=predicate)
@@ -3714,53 +3602,24 @@ def replicate_group(
     while True:
         work = []
         for feed_root, dest in pairs:
-            feed = Path(feed_root)
-            cur_p = feed / "_CURSOR.json"
-            exp_epoch = (json.loads(cur_p.read_text())["epoch"]
-                         if cur_p.exists() else 0)
-            spec = dest.spec
-            tdir = Path(dest.root) / spec.name
-            tdir.mkdir(parents=True, exist_ok=True)
-            rep_cursor_p = tdir / "_replica_cursor.json"
-            cursor = (json.loads(rep_cursor_p.read_text())["epoch"]
-                      if rep_cursor_p.exists() else 0)
-            spans = []
-            for d in feed.glob("span=*"):
-                lo_s, _, hi_s = d.name[len("span="):].partition("-")
-                spans.append((int(lo_s), int(hi_s), d))
-            for lo, hi, d in sorted(spans):
-                if hi <= cursor:
-                    continue
-                if hi > exp_epoch:
-                    break
-                if lo != cursor:
-                    raise ValueError(
-                        f"changefeed gap in {feed_root!r}: replica "
-                        f"cursor {cursor}, next span {d.name} — re-seed"
-                    )
-                work.append((dest, hi, d, rep_cursor_p))
-                break
+            rep_cursor = _replica_cursor(dest)
+            span = next(_consumable_spans(Path(feed_root),
+                                          _read_cursor(rep_cursor)), None)
+            if span is not None:
+                work.append((dest, span[1], span[2], rep_cursor))
         if not work:
             break
         txn = LakeTransaction(next(iter(roots)))
         staged = False
         for dest, hi, d, _p in work:
-            reserved = (set(dest.spec.key_cols)
-                        | {dest.spec.lsn_col, dest.spec.op_col})
-            payload = [f.name for f in dest.spec.schema
-                       if f.name not in reserved]
-            events = _span_events(d, dest.spec, payload, hi, predicate)
+            events = _span_events(d, dest.spec, None, hi, predicate)
             if events is not None:
                 dest.apply_events(events, txn=txn)
                 staged = True
         if staged:
             txn.commit()
-        for _dest, hi, _d, rep_cursor_p in work:
-            tmp = rep_cursor_p.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps({"epoch": hi}))
-            with open(tmp, "rb") as fh:
-                os.fsync(fh.fileno())
-            tmp.replace(rep_cursor_p)
+        for _dest, hi, _d, rep_cursor in work:
+            _write_cursor(rep_cursor, hi)
         rounds += 1
         spans_applied += len(work)
     return {"rounds": rounds, "spans_applied": spans_applied}

@@ -239,14 +239,7 @@ class MaterializedHistoryView(_ViewBase):
         super().__init__(root)
         self.lake = lake
         if payload_cols is None:
-            engine = {"content_sha", "key_hash", "part"}
-            skip = set(lake.spec.key_cols) | engine | {
-                lake.spec.lsn_col, lake.spec.op_col,
-            }
-            payload_cols = [
-                f.name for f in lake._state_schema()
-                if f.name not in skip
-            ]
+            payload_cols = lake.spec.payload_cols
         self.payload_cols = payload_cols
         self.num_buckets = num_buckets
 

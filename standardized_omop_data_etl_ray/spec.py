@@ -71,6 +71,13 @@ class TableSpec:
     # Off by default — the plain-LWW hot path is untouched when False.
     patch_ops: bool = False
 
+    @property
+    def payload_cols(self) -> list[str]:
+        """The schema's columns that are not key, op or lsn, in schema
+        order."""
+        reserved = {*self.key_cols, self.op_col, self.lsn_col}
+        return [f.name for f in self.schema if f.name not in reserved]
+
     def apply_rename(self, incoming: pa.Schema) -> pa.Schema:
         """Apply the schema-evolution rename map (OMOP-style field
         remapping) to an incoming schema — callers must do this BEFORE

@@ -288,18 +288,9 @@ def test_apply_stream_pipelined_matches_serial(tmp_path):
     rec = piped.apply_events(rd.from_arrow(more))  # full replay → no-op
     assert rec["rows_upserted"] == 0 and rec["tombstones"] == 0
 
-    # adaptive overlap (max_inflight="auto") must land on the same
-    # oracle state, keep ordered epochs, and report its control signal
-    auto = CDCLake(tmp_path / "a", TableSpec(name="cdc", num_partitions=8))
-    arecs = auto.apply_stream(
-        (rd.from_arrow(b) for b in batches), max_inflight="auto"
-    )
-    assert [r["epoch"] for r in arecs] == list(range(1, len(batches) + 1))
-    assert all("commit_wait_sec" in r for r in arecs)
-    assert_states_equal(state(auto), oracle)
     # one record builder: both apply paths return one key set, with
     # the commit split (commit_sec / commit_wait_sec) on every record
-    assert {frozenset(r) for r in srecs + recs + arecs} == {frozenset(srecs[0])}
+    assert {frozenset(r) for r in srecs + recs} == {frozenset(srecs[0])}
     assert {"commit_sec", "commit_wait_sec"} <= set(srecs[0])
 
 
@@ -1019,6 +1010,21 @@ def test_clone_branches_independently(tmp_path):
         lake.clone(str(tmp_path / "branch"))
 
 
+def test_clone_at_epoch_links_only_its_lineage(tmp_path):
+    """clone(at_epoch=e) carries only the manifests of the fork
+    snapshot's lineage: later source snapshots are not the branch's
+    history, so time travel to one fails as a missing snapshot instead
+    of resolving a snapshot the branch never had (and misreporting its
+    data files as reclaimed by gc)."""
+    lake = CDCLake(tmp_path / "src", _spec(4))
+    e1, _e2, e3 = [lake.apply_events(rd.from_arrow(b))["epoch"]
+                   for b in BATCHES[:3]]
+    early = lake.clone(str(tmp_path / "early"), at_epoch=e1)
+    assert early.snapshot_epochs() == [e1]
+    with pytest.raises(ValueError, match="no manifest snapshot"):
+        early.read_state(at_epoch=e3)
+
+
 def test_multi_table_transaction(tmp_path):
     """LakeTransaction: two tables' epochs become visible TOGETHER at
     txn.commit(); an abandoned transaction leaves both invisible and a
@@ -1388,6 +1394,19 @@ def test_delete_where_and_update_where_dml(tmp_path):
     # time travel still shows the pre-DML state
     tt = _state(lake, at_epoch=rec["epoch"] - 1).to_pandas()
     assert set(tt["path"]) == set(before["path"])
+
+
+def test_update_where_refuses_dropped_payload_column(tmp_path):
+    """update_where's set_fn must return every payload column: the
+    event builder nulls absent columns (MERGE INTO's contract), so an
+    UPDATE whose set_fn dropped one would silently erase live values."""
+    lake = CDCLake(tmp_path, _spec(4))
+    lake.apply_events(rd.from_arrow(BATCHES[0]))
+    before = canonical_state(_state(lake))
+    with pytest.raises(Exception, match="dropped payload columns"):
+        lake.update_where(lambda t: [True] * t.num_rows,
+                          lambda t: t.drop_columns(["content"]))
+    assert canonical_state(_state(lake)).equals(before)
 
 
 def test_merge_into_upsert_update_only_and_delete(tmp_path):
@@ -2095,6 +2114,101 @@ def test_replicate_group_multi_table_atomic(tmp_path):
                     TableSpec(name="rep_c", num_partitions=2))
     with pytest.raises(ValueError, match="ONE root"):
         replicate_group([(str(feed_a), dst_a), (str(feed_b), stray)])
+
+
+def test_replicate_group_feed_rules(tmp_path):
+    """replicate_group walks a feed by replicate_changefeed's rules: a
+    span whose end is above the exporter cursor (a half-written export)
+    is not applied and the replica cursor stays put; a fresh consumer
+    whose first span was pruned fails with a gap."""
+    import shutil
+
+    from standardized_omop_data_etl_ray.pipelines.cdc import (
+        prune_changefeed,
+        replicate_group,
+    )
+
+    carry = ["commit", "lang", "content"]
+    src = CDCLake(tmp_path / "src", _spec())
+    feed = tmp_path / "feed"
+    marks = []
+    for b in BATCHES[:2]:
+        marks.append(src.apply_events(rd.from_arrow(b))["epoch"])
+        src.export_changefeed(str(feed), carry_cols=carry)
+    root = tmp_path / "replicas"
+    dst = CDCLake(root, TableSpec(name="rep", num_partitions=3))
+    assert replicate_group([(str(feed), dst)])["spans_applied"] == 2
+    cur = Path(root) / "rep" / "_replica_cursor.json"
+    assert json.loads(cur.read_text())["epoch"] == marks[-1]
+    # a span starting at the replica cursor but ending above the
+    # exporter cursor, with real change files in it
+    half = feed / f"span={marks[-1]:06d}-{marks[-1] + 5:06d}"
+    shutil.copytree(feed / f"span=000000-{marks[0]:06d}", half)
+    epochs = dst.snapshot_epochs()
+    rec = replicate_group([(str(feed), dst)])
+    assert rec == {"rounds": 0, "spans_applied": 0}
+    assert json.loads(cur.read_text())["epoch"] == marks[-1]
+    assert dst.snapshot_epochs() == epochs
+    # a fresh consumer of a feed whose first span was pruned
+    prune_changefeed(str(feed), marks[0])
+    fresh = CDCLake(root, TableSpec(name="rep2", num_partitions=2))
+    with pytest.raises(ValueError, match="gap"):
+        replicate_group([(str(feed), fresh)])
+
+
+def test_synthesized_tombstones_carry_no_payload(tmp_path):
+    """One rule for every synthesized event: a tombstone carries no
+    payload.  The source's D events carry their last-known commit, yet
+    the tombstones of an unfiltered replica, a row-filtered replica and
+    a merged branch all have null payload columns."""
+    import pyarrow.compute as pc
+
+    from standardized_omop_data_etl_ray.pipelines.cdc import (
+        replicate_changefeed,
+    )
+
+    carry = ["commit", "lang", "content"]
+    dels = EVENTS.filter(pc.equal(EVENTS.column("op"), "D"))
+    assert dels.column("commit").null_count < dels.num_rows, \
+        "vacuous: source tombstones carry no commit"
+
+    def pred(img):
+        return pc.fill_null(
+            pc.equal(img.column("lang"), "py"), False
+        ).to_numpy(zero_copy_only=False)
+
+    src = CDCLake(tmp_path / "src", _spec())
+    feed = tmp_path / "feed"
+    dst = CDCLake(tmp_path / "dst",
+                  TableSpec(name="replica", num_partitions=3))
+    dstf = CDCLake(tmp_path / "dstf",
+                   TableSpec(name="replica", num_partitions=3))
+    for b in BATCHES:
+        src.apply_events(rd.from_arrow(b))
+        src.export_changefeed(str(feed), carry_cols=carry)
+        replicate_changefeed(str(feed), dst)
+        replicate_changefeed(str(feed), dstf, predicate=pred)
+    for lake in (dst, dstf):
+        deltas = lake.read_deltas().to_pandas()
+        tomb = deltas[deltas["op"] == "D"]
+        assert len(tomb) > 0, "vacuous: no replica tombstones"
+        assert tomb[carry].isna().all().all(), tomb[carry].head()
+
+    # a branch tombstone carrying a commit merges as a payload-free one
+    branch = src.clone(str(tmp_path / "branch"))
+    k = ORACLE.slice(0, 1)
+    branch.apply_events(rd.from_arrow(pa.table({
+        "op": ["D"], "lsn": pa.array([10**9], pa.int64()),
+        "repo": k.column("repo"), "path": k.column("path"),
+        "commit": ["feedface"], "lang": pa.array([None], pa.string()),
+        "content": pa.array([None], pa.string()),
+    })))
+    src.merge_branch(branch)
+    key = {"repo": k.column("repo")[0].as_py(),
+           "path": k.column("path")[0].as_py()}
+    hist = src.key_history([key]).to_pandas().sort_values("lsn")
+    assert hist["op"].iloc[-1] == "D"
+    assert hist[carry].iloc[-1].isna().all()
 
 
 def test_agg_view_over_replica(tmp_path):
