@@ -2779,7 +2779,7 @@ WHERE vec_id < 50
 def events_key_skew(sf_dir: str):
     """One-row key-skew profile (stages/aggregates.key_skew_stats) of
     the events table's user distribution — the diagnostic behind the
-    north rule's hot-key handling (salted merges, skew joins): total
+    north rule's hot-key handling (merge combiners, skew joins): total
     rows, distinct keys, heaviest key's count/share, Shannon entropy.
     Per-key counts reduce through the bucketed combiner; the driver
     sees scalars only."""

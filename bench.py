@@ -3,7 +3,7 @@
 
 Headline: CDC replay — synthetic change events (deterministic, cached
 under /tmp) applied end-to-end through the lake engine (standardize →
-salted LWW merge → two-phase manifest commit, micro-batched), measured
+two-stage LWW merge → two-phase manifest commit, micro-batched), measured
 as change-events/sec.  Plus wall times for a subset of the
 `__ray_entry__.queries()` pipelines over $GRAFT_SF_DIR.
 

@@ -13,7 +13,7 @@ schema ETL semantics of the reference repo
 Layout:
     functions/  pure vectorized batch kernels (hashing, dates, parsing, text)
     stages/     Dataset-level transforms (standardize, merge, unpivot, dedup)
-    state/      manifest + key-index machinery for the stateful sink
+    state/      manifest, markers and bloom sidecars for the lake sink
     pipelines/  end-to-end pipelines (CDC replay, compaction, reference ETL)
 
 Everything here derives from public knowledge only: the Ray Data and

@@ -49,7 +49,7 @@ _VOCAB = [
 def _key_catalog(n_keys: int, seed: int, hot_share: float) -> pd.DataFrame:
     """Key universe: (repo, path, lang).  The first ~5% of keys belong to a
     single hot repo; event sampling later steers ``hot_share`` of all events
-    at them (hot-key skew for the salted merge)."""
+    at them (hot-key skew for the merge)."""
     i = np.arange(n_keys)
     n_hot = max(1, int(n_keys * 0.05))
     repo = np.where(

@@ -4,7 +4,7 @@ This is the correctness reference for the distributed engine
 (SURVEY.md §5): last-writer-wins by lsn per key (repo, path), tombstones
 win-then-vanish, duplicate lsns are idempotent.  The engine's final state
 must equal this on row count, key set and per-row sha256(content) —
-independent of parallelism, partition count and salting.
+independent of parallelism, partition count and block boundaries.
 """
 
 from __future__ import annotations

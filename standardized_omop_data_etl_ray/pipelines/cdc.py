@@ -15,7 +15,7 @@ Guarantees (tested in tests/test_lake.py):
     + epoch markers written) and phase 2 (manifest swap) leaves invisible
     orphans that the retry overwrites deterministically;
   * determinism: final state is independent of parallelism, partition
-    count, micro-batch sizing and salting;
+    count and micro-batch sizing;
   * schema evolution: later batches may add / widen columns
     (pa.unify_schemas-based, narrowing rejected), resolved at read.
 
@@ -1161,7 +1161,6 @@ class CDCLake:
         self,
         events: rd.Dataset,
         *,
-        salt_factor: int = 0,
         txn: "LakeTransaction | None" = None,
         _fail_before_commit: bool = False,
     ) -> dict:
@@ -1183,7 +1182,7 @@ class CDCLake:
         inc_schema = self.spec.apply_rename(_as_arrow_schema(events.schema()))
         self.spec.schema = self.spec.evolve(inc_schema)
 
-        stats = self._phase1(events, epoch, self._watermarks(m), salt_factor)
+        stats = self._phase1(events, epoch, self._watermarks(m))
         record = self._epoch_record(epoch, stats, t0)
         if _fail_before_commit:  # test hook: die between phase 1 and 2
             record["committed"] = False
@@ -1203,7 +1202,6 @@ class CDCLake:
         windows,
         *,
         max_inflight: int = 2,
-        salt_factor: int = 0,
     ) -> list[dict]:
         """Apply a stream of micro-batch windows with CROSS-EPOCH
         PIPELINING: up to ``max_inflight`` epochs run phase 1 (read →
@@ -1237,9 +1235,7 @@ class CDCLake:
 
                 spec_snap = _dc_replace(self.spec)  # freeze per-window
                 epoch = self._alloc_epoch()
-                fut = ex.submit(
-                    self._phase1, w, epoch, wm.copy(), salt_factor, spec_snap,
-                )
+                fut = ex.submit(self._phase1, w, epoch, wm.copy(), spec_snap)
                 pending.append((epoch, fut, time.time(), spec_snap))
                 while len(pending) >= max_inflight:
                     records.append(self._commit_next(pending, wm))
@@ -1277,14 +1273,12 @@ class CDCLake:
         events: rd.Dataset,
         epoch: int,
         wm: np.ndarray,
-        salt_factor: int = 0,
         spec: TableSpec | None = None,
     ) -> list[dict]:
         """Phase 1 of one epoch: standardize → combine → shuffle →
         per-partition delta writes + markers.  No manifest access.
         Returns ``_STATS_SCHEMA`` rows (one per written file), the only
-        input phase 2 (``_commit``) needs — a subclass may write the
-        same rows by another route (``ActorLake``).
+        input phase 2 (``_commit``) needs.
 
         ``spec`` is the PER-EPOCH spec snapshot: apply_stream evolves the
         shared spec on the driver thread while earlier windows are still
@@ -1318,17 +1312,6 @@ class CDCLake:
             ev = std.map_batches(
                 lambda b: lww_reduce_table(b, spec.key_cols, spec.lsn_col),
                 batch_format="pyarrow",
-            )
-        if salt_factor > 1:
-            from ..stages.merge import add_salt, _group_final
-
-            ev = ev.map_batches(
-                lambda b: add_salt(b, salt_factor), batch_format="pyarrow"
-            )
-            ev = (
-                ev.groupby(["part", "salt"], num_partitions=P)
-                .map_groups(_group_final(spec, True), batch_format="pyarrow")
-                .drop_columns(["salt"])
             )
         stats_ds = ev.groupby("part", num_partitions=P).map_groups(
             writer, batch_format="pyarrow"

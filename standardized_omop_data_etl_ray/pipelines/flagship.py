@@ -1,6 +1,6 @@
 """Flagship pipeline for the driver contract: derive a deterministic CDC
 event log from the ``documents`` table, replay it through the full engine
-(standardize → salted LWW merge → COW lake, micro-batched), return the
+(standardize → two-stage LWW merge → COW lake, micro-batched), return the
 final state.
 
 Derivation rule (pure, vectorized, reproducible in SQL for the oracle):

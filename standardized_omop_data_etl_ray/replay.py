@@ -26,7 +26,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--table", default="cdc")
     ap.add_argument("--num-partitions", type=int, default=64)
     ap.add_argument("--segments-per-window", type=int, default=16)
-    ap.add_argument("--salt-factor", type=int, default=0)
     ap.add_argument("--compact", action="store_true",
                     help="compact + gc after the tail drains")
     ap.add_argument("--cluster-files", type=int, default=1,
@@ -137,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     tail = BinlogTail(args.segments)
     total_events, t0 = 0, time.time()
     for window in tail.windows(start_after, args.segments_per_window):
-        rec = lake.apply_events(window, salt_factor=args.salt_factor)
+        rec = lake.apply_events(window)
         total_events += rec["events_seen"]
         print(json.dumps(rec))
     if args.compact:

@@ -642,7 +642,7 @@ def key_skew_stats(
     num_buckets: int | None = None,
 ) -> rd.Dataset:
     """One-row skew profile of a key distribution — the diagnostic
-    behind the north rule's hot-key handling (salted two-stage merges,
+    behind the north rule's hot-key handling (per-block merge combiners,
     skew joins): total rows, distinct keys, the heaviest key's count
     and share, and the Shannon entropy of the key distribution
     (ln n_keys = uniform; → 0 = one key dominates).

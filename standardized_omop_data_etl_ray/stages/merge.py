@@ -7,24 +7,20 @@ per key (repo, path), the event with the greatest LSN wins; a winning
 tombstone (op='D') removes the key; duplicate deliveries of the same LSN
 are idempotent (identical payload).
 
-Distributed shape — a *salted two-stage* merge so hot keys never serialize:
+Distributed shape — a two-stage merge so hot keys never serialize:
 
-  stage 0 (combiner, stateless ``map_batches``): partial LWW inside each
+  stage 1 (combiner, stateless ``map_batches``): partial LWW inside each
       delivery batch.  A key receiving 10^6 events across 10^4 blocks
       reaches the shuffle as ≤10^4 rows — the all-to-all exchange moves
-      per-key partials, not raw events.  This *is* the salt stage: the
-      salt is the (arbitrary) block boundary, valid because max-by-LSN is
-      associative and commutative.
-  stage 1 (optional extra salting for pathological skew): groupby
-      (part, salt) with salt = key_hash-independent sub-bucket, partial
-      LWW per group, before
+      per-key partials, not raw events.  Valid because max-by-LSN is
+      associative and commutative, so block boundaries are arbitrary.
   stage 2 (final): ``groupby(part).map_groups`` — one group per hash
       partition, LWW per key inside the group via a vectorized window
       (DuckDB C++ over zero-copy Arrow).
 
 Determinism: the winner depends only on (key, max lsn) — independent of
-partition count, block boundaries, salting and arrival order, which the
-tests assert against the single-process oracle.
+partition count, block boundaries and arrival order, which the tests
+assert against the single-process oracle.
 """
 
 from __future__ import annotations
@@ -232,26 +228,14 @@ def _partial(spec: TableSpec):
 
 def _group_final(spec: TableSpec, keep_tombstones: bool):
     key_cols, lsn, op = spec.key_cols, spec.lsn_col, spec.op_col
-    patch = getattr(spec, "patch_ops", False)
 
     def fn(group: pa.Table) -> pa.Table:
-        if patch:  # subset-safe reduce keeps patch rows (salted stage)
-            out = patch_reduce_table(group, key_cols, lsn, op)
-        else:
-            out = lww_reduce_table(group, key_cols, lsn)
+        out = lww_reduce_table(group, key_cols, lsn)
         if not keep_tombstones:
             out = drop_tombstones(out, op)
         return out
 
     return fn
-
-
-def add_salt(batch: pa.Table, salt_factor: int) -> pa.Table:
-    """Sub-bucket rows by a content-independent salt (row position), used
-    by the optional stage-1 pre-reduce for pathological key skew."""
-    n = batch.num_rows
-    salt = pa.array((np.arange(n) % salt_factor).astype(np.int32))
-    return batch.append_column("salt", salt)
 
 
 def priority_merge(
@@ -337,9 +321,8 @@ def lww_merge(
     spec: TableSpec | None = None,
     *,
     keep_tombstones: bool = False,
-    salt_factor: int = 0,
 ) -> rd.Dataset:
-    """Full salted two-stage LWW merge over standardized events.
+    """Full two-stage LWW merge over standardized events.
 
     ``events`` must already carry key_hash/part columns (see
     stages/standardize.py).  Returns one row per surviving key.
@@ -348,15 +331,6 @@ def lww_merge(
     """
     spec = spec or TableSpec(name="cdc")
     ev = events.map_batches(_partial(spec), batch_format="pyarrow")
-    if salt_factor > 1:
-        ev = ev.map_batches(
-            lambda b: add_salt(b, salt_factor), batch_format="pyarrow"
-        )
-        ev = (
-            ev.groupby(["part", "salt"], num_partitions=spec.num_partitions)
-            .map_groups(_group_final(spec, True), batch_format="pyarrow")
-            .drop_columns(["salt"])
-        )
     # num_partitions routes the groupby through the hash-shuffle path —
     # measured ~1.6x faster than the sort shuffle for this string-heavy
     # payload and scaling cleanly 8→32 CPUs (see BENCH/BASELINE.md)

@@ -125,13 +125,15 @@ def make_curation_gate(spec: TableSpec, predicate):
             pc.if_else(mask, pa.scalar("D", pa.string()),
                        pc.cast(batch.column(op_col), pa.string())),
         )
+        # a null ARRAY, not a null scalar: pyarrow's scalar form
+        # corrupts string offsets when ``col`` is a non-zero-offset slice
         for c in batch.column_names:
             if c in keep_cols:
                 continue
             col = batch.column(c)
             batch = batch.set_column(
                 batch.column_names.index(c), c,
-                pc.if_else(mask, pa.scalar(None, col.type), col),
+                pc.if_else(mask, pa.nulls(batch.num_rows, col.type), col),
             )
         return batch.append_column("__gated", mask)
 

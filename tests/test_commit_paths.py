@@ -1,22 +1,19 @@
 """Table properties survive every commit path.
 
-A lake with drop / rename / cluster history commits one epoch through
-each data path — ``apply_events``, ``apply_stream``, ``apply_events``
-inside a ``LakeTransaction``, and ``ActorLake.apply_events`` — and after
-each commit the manifest must still carry ``dropped_cols``,
-``renamed_cols``, ``cluster_spec`` and ``epoch_hwm``, a zone map for
-every live file, and a schema without the dropped or renamed-away
-column.
+A lake with drop / rename / cluster history commits epochs through
+each data path — ``apply_events``, ``apply_stream`` and ``apply_events``
+inside a ``LakeTransaction`` — and after each commit the manifest must
+still carry ``dropped_cols``, ``renamed_cols``, ``cluster_spec`` and
+``epoch_hwm``, a zone map for every live file, and a schema without the
+dropped or renamed-away column.
 """
 
 import pyarrow as pa
-import pytest
 import ray
 import ray.data as rd
 
 from standardized_omop_data_etl_ray.datagen import make_change_events, micro_batches
 from standardized_omop_data_etl_ray.oracle import oracle_apply
-from standardized_omop_data_etl_ray.pipelines.actor_apply import ActorLake
 from standardized_omop_data_etl_ray.pipelines.cdc import CDCLake, LakeTransaction
 from standardized_omop_data_etl_ray.spec import TableSpec
 from standardized_omop_data_etl_ray.state import manifest as mf
@@ -67,22 +64,11 @@ def test_every_commit_path_keeps_table_properties(tmp_path):
     txn.commit()
     _assert_properties(root, cspec)
 
-    actor = ActorLake(root, _spec(), pool_size=2)
-    try:
-        rec = actor.apply_events(rd.from_arrow(BATCHES[4]))
+    for b in BATCHES[4:6]:
+        rec = lake.apply_events(rd.from_arrow(b))
         assert rec["committed"] and rec["rows_upserted"] > 0
         m = _assert_properties(root, cspec)
         assert m["epoch"] == rec["epoch"]
-        # one record builder: the actor record is the batch record
-        # plus the pool's live key count
-        ref = lake.apply_events(rd.from_arrow(BATCHES[5]))
-        assert set(rec) == set(ref) | {"live_keys"}
-        _assert_properties(root, cspec)
-        # the pipelined stream is a batch-path capability only
-        with pytest.raises(NotImplementedError):
-            actor.apply_stream([rd.from_arrow(BATCHES[5])])
-    finally:
-        actor.kill_pool()
 
     # the state every path built is the oracle's, under the new name
     tabs = [t for t in ray.get(lake.read_state().to_arrow_refs()) if t.num_rows]

@@ -3,7 +3,7 @@
 (add_condition_occurrences.py:6-23,52-119: hardcoded inserts for listed
 persons + targeted deletes for healthy controls) expressed as CDC
 insert/delete events through the same merge path, plus hot-key skew
-through the salted merge."""
+through the two-stage merge."""
 
 import pyarrow as pa
 import pytest
@@ -11,7 +11,7 @@ import ray
 import ray.data as rd
 
 from standardized_omop_data_etl_ray.datagen import make_change_events
-from standardized_omop_data_etl_ray.oracle import canonical_state, oracle_apply
+from standardized_omop_data_etl_ray.oracle import assert_states_equal, oracle_apply
 from standardized_omop_data_etl_ray.pipelines.cdc import CDCLake
 from standardized_omop_data_etl_ray.spec import TableSpec
 from standardized_omop_data_etl_ray.stages.merge import lww_merge
@@ -82,25 +82,18 @@ def test_patch_insert_then_targeted_delete(tmp_path):
     assert ("CTRL1", 373182) in set(zip(df["person_id"], df["concept_id"]))
 
 
-def test_heavy_skew_salted_equals_unsalted():
-    """60% of events on one hot repo: salted and unsalted merges agree
-    with the oracle."""
+def test_heavy_skew_matches_oracle():
+    """60% of events on one hot repo: the merge equals the oracle."""
     events = make_change_events(
         n_keys=300, n_events=6000, seed=77, hot_share=0.6, window=500
     )
-    oracle = oracle_apply(events)
-    outs = []
-    for salt in (0, 8):
-        spec = TableSpec(name="cdc", num_partitions=6)
-        std = rd.from_arrow(events).map_batches(
-            make_standardizer(spec), batch_format="pyarrow"
-        )
-        merged = lww_merge(std, spec, salt_factor=salt)
-        tabs = [t for t in ray.get(merged.to_arrow_refs()) if t.num_rows]
-        outs.append(canonical_state(pa.concat_tables(tabs)))
-    assert outs[0].equals(outs[1])
-    assert outs[0].num_rows == oracle.num_rows
-    assert outs[0].column("content_sha").equals(oracle.column("content_sha"))
+    spec = TableSpec(name="cdc", num_partitions=6)
+    std = rd.from_arrow(events).map_batches(
+        make_standardizer(spec), batch_format="pyarrow"
+    )
+    merged = lww_merge(std, spec)
+    tabs = [t for t in ray.get(merged.to_arrow_refs()) if t.num_rows]
+    assert_states_equal(pa.concat_tables(tabs), oracle_apply(events))
 
 
 def test_pack_years_kernel():

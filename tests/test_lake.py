@@ -101,11 +101,16 @@ def test_micro_batch_sizing_invariance(tmp_path):
     assert canonical_state(_state(a)).equals(canonical_state(_state(b_)))
 
 
-def test_salted_apply_matches(tmp_path):
-    lake = CDCLake(tmp_path, _spec())
-    for b in BATCHES:
-        lake.apply_events(rd.from_arrow(b), salt_factor=4)
-    assert_states_equal(_state(lake), ORACLE)
+def test_hot_key_apply_matches(tmp_path):
+    """Half of all events on ONE key (a 39-key catalog has a single hot
+    key), each epoch split over several blocks: the per-block combiner
+    and the partition reduce still land on the oracle."""
+    ev = make_change_events(n_keys=39, n_events=3000, seed=5,
+                            hot_share=0.5, window=WINDOW)
+    lake = CDCLake(tmp_path, _spec(4))
+    for b in micro_batches(ev, batch_windows=2, window=WINDOW):
+        lake.apply_events(rd.from_arrow(b).repartition(3))
+    assert_states_equal(_state(lake), oracle_apply(ev))
 
 
 def test_schema_evolution_column_add(tmp_path):
@@ -475,6 +480,34 @@ def test_curation_gate_retracts_and_passes_deletes(tmp_path):
     st2 = _state(lake)
     paths = {r["path"]: r["content"] for r in st2.to_pylist()}
     assert paths == {"keep.txt": "good v1", "retract.txt": "good v2"}
+
+
+def test_curation_gate_on_sliced_batch_keeps_passing_rows():
+    """Ray hands the gate zero-copy slices (non-zero array offsets):
+    nulling the gated rows' payload must leave valid arrays and the
+    passing rows' values untouched."""
+    from standardized_omop_data_etl_ray.stages.standardize import (
+        make_curation_gate,
+    )
+
+    full = pa.table({
+        "op": ["I", "U", "U", "U", "U", "U"],
+        "lsn": pa.array(range(6), pa.int64()),
+        "repo": ["r"] * 6, "path": [f"p{i}" for i in range(6)],
+        "commit": [str(i) for i in range(6)], "lang": ["py"] * 6,
+        "content": [f"v{i}" for i in range(6)],
+    })
+    batch = full.slice(2, 4)
+    gate = make_curation_gate(
+        _spec(4), lambda t: pa.array([False, True, False, True]))
+    out = gate(batch)
+    out.validate(full=True)
+    assert out.column("op").to_pylist() == ["D", "U", "D", "U"]
+    assert out.column("__gated").to_pylist() == [True, False, True, False]
+    for c in ("commit", "lang", "content"):
+        got = out.column(c).to_pylist()
+        assert got[0] is None and got[2] is None, c
+        assert [got[1], got[3]] == batch.column(c).to_pylist()[1::2], c
 
 
 def test_gate_audit_counts_in_commit_and_metrics(tmp_path):
@@ -2775,3 +2808,27 @@ def test_lookup_after_schema_evolution(tmp_path):
     assert "stars" in got.schema.names
     hist = lake.key_history(keys)
     assert hist.num_rows >= got.num_rows
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP direction H: the per-partition watermark drops an event "
+    "at or below it as if already applied, so a late event is lost "
+    "with no counter and no DLQ row"))
+def test_late_events_below_watermark_are_applied(tmp_path):
+    def ev(rows):
+        return pa.table({
+            "op": [r[1] for r in rows],
+            "lsn": pa.array([r[0] for r in rows], pa.int64()),
+            "repo": ["r"] * len(rows), "path": [r[2] for r in rows],
+            "commit": [f"c{r[0]}" for r in rows],
+            "lang": ["py"] * len(rows),
+            "content": [f"{r[2]}@{r[0]}" for r in rows],
+        })
+
+    first = ev([(10, "I", "a"), (100, "I", "b")])
+    late = ev([(50, "I", "c"), (60, "U", "a")])
+    lake = CDCLake(tmp_path, _spec(1))
+    lake.apply_events(rd.from_arrow(first))
+    lake.apply_events(rd.from_arrow(late))
+    assert_states_equal(
+        _state(lake), oracle_apply(pa.concat_tables([first, late])))

@@ -27,10 +27,9 @@ from standardized_omop_data_etl_ray.stages.standardize import make_standardizer
     dup_rate=st.floats(0.0, 0.2),
     window=st.integers(10, 400),
     num_partitions=st.integers(1, 13),
-    salt=st.sampled_from([0, 3]),
 )
 def test_merge_equals_oracle_for_any_log(
-    seed, n_keys, n_events, delete_rate, dup_rate, window, num_partitions, salt
+    seed, n_keys, n_events, delete_rate, dup_rate, window, num_partitions
 ):
     events = make_change_events(
         n_keys=n_keys, n_events=n_events, seed=seed,
@@ -41,7 +40,7 @@ def test_merge_equals_oracle_for_any_log(
     std = rd.from_arrow(events).map_batches(
         make_standardizer(spec), batch_format="pyarrow"
     )
-    merged = lww_merge(std, spec, salt_factor=salt)
+    merged = lww_merge(std, spec)
     tabs = [t for t in ray.get(merged.to_arrow_refs()) if t.num_rows]
     engine = pa.concat_tables(tabs) if tabs else events.slice(0, 0)
     oracle = oracle_apply(events)

@@ -184,27 +184,6 @@ def test_binlog_missing_stats_and_missing_lsn(tmp_path):
         tail.new_segments()
 
 
-def test_tuning_profiles():
-    import pytest
-
-    from ray.data import DataContext
-    from standardized_omop_data_etl_ray import tuning
-
-    ctx = DataContext.get_current()
-    orig_block, orig_strategy = ctx.target_max_block_size, ctx.shuffle_strategy
-    try:
-        out = tuning.apply("wide_binary")
-        assert out is ctx
-        assert ctx.target_max_block_size == 32 * tuning.MiB
-        tuning.apply("cdc_text")
-        assert ctx.target_max_block_size == 128 * tuning.MiB
-        with pytest.raises(ValueError, match="unknown profile"):
-            tuning.apply("gpu_heavy")
-    finally:
-        ctx.target_max_block_size = orig_block
-        ctx.shuffle_strategy = orig_strategy
-
-
 def test_read_jsonl_typed(tmp_path):
     """JSONL shards with disagreeing per-shard inference (all-null col,
     float-typed ints, missing col) coerce to one declared schema."""
