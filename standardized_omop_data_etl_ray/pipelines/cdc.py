@@ -160,17 +160,15 @@ def _file_rewriter(root: str, table: str, epoch: int, prefix: str,
             t = transform(pq.read_table(troot / rel))
             pdir = (troot / f"part={int(part):05d}"
                     / f"epoch={epoch:06d}")
-            pdir.mkdir(parents=True, exist_ok=True)
             tag = hashlib.sha1(rel.encode()).hexdigest()[:16]
             fname = f"{prefix}-{tag}.parquet"
-            tmp = pdir / (fname + ".tmp")
-            pq.write_table(t, tmp)
-            tmp.replace(pdir / fname)
+            mf.durable_write(pdir / fname,
+                             lambda tmp: pq.write_table(t, tmp))
             bp = bloom.sidecar_path(troot / rel)
             if bp.exists():
-                btmp = pdir / (fname + ".bloom.tmp")
-                btmp.write_bytes(bp.read_bytes())
-                btmp.replace(bloom.sidecar_path(pdir / fname))
+                blob = bp.read_bytes()
+                mf.durable_write(bloom.sidecar_path(pdir / fname),
+                                 lambda tmp: tmp.write_bytes(blob))
             srcs.append(rel)
             dsts.append(str((pdir / fname).relative_to(troot)))
         return pa.table({"src": pa.array(srcs, pa.string()),
@@ -186,8 +184,8 @@ def _delta_writer(root: str, table: str, epoch: int, spec: TableSpec,
     """Per-partition merge + phase-1 write, run inside map_groups tasks.
 
     Output file names are deterministic per (partition, epoch, slice):
-    a task retry overwrites the same paths via atomic rename →
-    idempotent.
+    a task retry overwrites the same paths via ``mf.durable_write`` →
+    idempotent, and each file is durable before its stats row returns.
 
     ``cluster_files > 1`` splits the partition's output into that many
     files, each with its own zone map.  Default slicing is KEY-RANGE
@@ -227,7 +225,6 @@ def _delta_writer(root: str, table: str, epoch: int, spec: TableSpec,
         # deterministic file bytes: stable row order
         delta = delta.sort_by([(c, "ascending") for c in key_cols])
         pdir = Path(root) / table / f"part={part:05d}" / f"epoch={epoch:06d}"
-        pdir.mkdir(parents=True, exist_ok=True)
         # partition-level content checksum (lineage): sha over the
         # key-ordered row shas — slicing-invariant by construction
         roll = hashing.sha_rollup(delta.column("content_sha"))
@@ -243,24 +240,21 @@ def _delta_writer(root: str, table: str, epoch: int, spec: TableSpec,
             fname = ("delta.parquet" if cluster_files == 1
                      else f"delta-{i:03d}.parquet")
             fpath = pdir / fname
-            tmp = pdir / (fname + ".tmp")
-            pq.write_table(chunk, tmp)
-            tmp.replace(fpath)
+            mf.durable_write(fpath, lambda tmp: pq.write_table(chunk, tmp))
             if chunk.num_rows:
                 # key-hash bloom sidecar (state/bloom.py): lets point
                 # lookups skip this file on a definite miss — the
                 # pruning zone maps can't do for hash-scattered keys.
-                # tmp+rename like the data file; crash between the two
-                # renames just means "no sidecar" (no pruning), and a
-                # task retry rewrites both deterministically.
+                # A crash between the two writes just means "no
+                # sidecar" (no pruning), and a task retry rewrites both
+                # deterministically.
                 blob = bloom.build(
                     chunk.column("key_hash").to_numpy(
                         zero_copy_only=False
                     )
                 )
-                btmp = pdir / (fname + ".bloom.tmp")
-                btmp.write_bytes(blob)
-                btmp.replace(pdir / (fname + ".bloom"))
+                mf.durable_write(bloom.sidecar_path(fpath),
+                                 lambda tmp: tmp.write_bytes(blob))
             fstats: dict[str, list] = {}
             if chunk.num_rows:
                 # zone map: exact min/max of lsn + keys + any cluster
@@ -494,13 +488,11 @@ def _dead_letter_splitter(root: str, table: str, epoch: int,
             "__dlq_reason", pa.array(reasons[bad], pa.string())
         )
         ddir = Path(root) / table / "_dead_letter" / f"epoch={epoch:06d}"
-        ddir.mkdir(parents=True, exist_ok=True)
         digest = hashing.sha256_hex_str(
             json.dumps(bad_rows.to_pydict(), default=str, sort_keys=True)
         )[:16]
-        tmp = ddir / f"bad-{digest}.parquet.tmp"
-        pq.write_table(bad_rows, tmp)
-        tmp.replace(ddir / f"bad-{digest}.parquet")
+        mf.durable_write(ddir / f"bad-{digest}.parquet",
+                         lambda tmp: pq.write_table(bad_rows, tmp))
         return batch.filter(pa.array(~bad))
 
     return fn
@@ -1061,8 +1053,8 @@ class CDCLake:
         engine is single-writer by design (epoch allocation, manifest
         pointer swaps), but nothing STOPPED a second process from
         opening the same root and corrupting the epoch sequence.  This
-        writes ``_WRITER.json`` (token, pid, expiry) with the same
-        tmp+rename discipline as the manifests; a live lease held by
+        writes ``_WRITER.json`` (token, pid, expiry) through
+        ``mf.durable_write`` like the manifests; a live lease held by
         another token refuses loudly, an EXPIRED lease is stolen (the
         crash-recovery path — no manual unlock needed).  Every commit
         re-validates and renews the lease (fencing: a paused writer
@@ -1073,7 +1065,6 @@ class CDCLake:
 
         now = time.time()
         p = Path(self.root) / self.spec.name / "_WRITER.json"
-        p.parent.mkdir(parents=True, exist_ok=True)
         if p.exists():
             cur = json.loads(p.read_text())
             if cur["expires"] > now and cur["token"] != getattr(
@@ -1103,14 +1094,11 @@ class CDCLake:
                     "writer lease lost (expired and re-acquired by pid "
                     f"{cur['pid']}) — this process must not commit"
                 )
-        tmp = p.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps({
+        lease = json.dumps({
             "token": self._writer_token, "pid": os.getpid(),
             "expires": now + self._writer_lease_s,
-        }))
-        with open(tmp, "rb") as fh:
-            os.fsync(fh.fileno())
-        tmp.replace(p)
+        })
+        mf.durable_write(p, lambda tmp: tmp.write_text(lease))
 
     def release_writer(self) -> None:
         p = Path(self.root) / self.spec.name / "_WRITER.json"
@@ -1162,7 +1150,6 @@ class CDCLake:
         events: rd.Dataset,
         *,
         txn: "LakeTransaction | None" = None,
-        _fail_before_commit: bool = False,
     ) -> dict:
         """Apply one micro-batch (one epoch).  Returns the commit record.
 
@@ -1184,10 +1171,6 @@ class CDCLake:
 
         stats = self._phase1(events, epoch, self._watermarks(m))
         record = self._epoch_record(epoch, stats, t0)
-        if _fail_before_commit:  # test hook: die between phase 1 and 2
-            record["committed"] = False
-            return record
-
         committed = self._commit(m, epoch, stats, record, txn=txn)
         if txn is not None:
             record["committed"] = False  # until txn.commit()
@@ -1979,15 +1962,18 @@ class CDCLake:
             raise ValueError(f"destination {dst_troot} already has a lake")
 
         def link(src: Path, dst: Path) -> None:
-            try:
-                os.link(src, dst)
-            except OSError:
-                _sh.copy2(src, dst)
+            # durable like every lake file: the branch's commit names it
+            def place(tmp: Path) -> None:
+                try:
+                    os.link(src, tmp)
+                except OSError:
+                    _sh.copy2(src, tmp)
+
+            mf.durable_write(dst, place)
 
         for rel in [f for info in m["partitions"].values()
                     for f in info["files"]]:
             src, dst = src_troot / rel, dst_troot / rel
-            dst.parent.mkdir(parents=True, exist_ok=True)
             link(src, dst)
             # carry the bloom sidecar (immutable like its data file)
             # so point lookups on the branch keep their file skipping
@@ -2003,7 +1989,6 @@ class CDCLake:
         # are not the branch's history (and a mid-stream compaction's
         # number may exceed the data epoch committed after it, so
         # membership, not ``<= epoch``, decides)
-        (dst_troot / "_manifests").mkdir(parents=True, exist_ok=True)
         for e in {r["epoch"] for r in m.get("lineage", [])}:
             name = f"manifest-{e:06d}.json"
             if (src_troot / "_manifests" / name).exists():
@@ -3073,15 +3058,14 @@ class CDCLake:
         ``changes_between`` for consumers that cannot read the lake
         (external warehouses, message buses).
 
-        Exactly-once at the consumer for free: the span directory name
-        is deterministic, a crashed export rewrites the SAME directory
-        (content-identical: the fold is a pure function of committed
-        state), and the cursor only advances after the files land.
+        Exactly-once at the consumer for free: consumers read only spans
+        at or below the cursor, a retry first removes every span a
+        crashed export left above it, and the cursor only advances after
+        the span's files are durable.
         Consumers process ``span=`` directories in order; re-reading a
         span is idempotent because the rows carry key + old/new
         payloads, not increments."""
         out = Path(out_root)
-        out.mkdir(parents=True, exist_ok=True)
         last = _read_cursor(_export_cursor(out))
         m = mf.read_manifest(self.root, self.spec.name)
         cur = m["epoch"] if m else 0
@@ -3089,13 +3073,17 @@ class CDCLake:
             return {"from_epoch": last, "to_epoch": cur, "rows": 0,
                     "exported": False}
         diff = self.changes_between(last, cur, carry_cols=carry_cols)
+        # a crashed attempt may have left a span above the cursor, with
+        # other bounds (a chain gap once the cursor passes it) or more
+        # block files than this attempt writes (double counts); no
+        # consumer reads above the cursor, so every such span goes
+        import shutil
+
+        for _lo, hi, stale in _feed_spans(out):
+            if hi > last:
+                shutil.rmtree(stale)
         d = out / f"span={last:06d}-{cur:06d}"
-        d.mkdir(exist_ok=True)
-        # a crashed attempt may have left MORE block files than this
-        # attempt will write (block splits are not deterministic) —
-        # stale extras would double-count at the consumer
-        for stale in d.glob("changes-*.parquet*"):
-            stale.unlink()
+        mf.make_dirs(d)  # an empty span still links the chain
         n = 0
         import ray as _ray
 
@@ -3107,9 +3095,8 @@ class CDCLake:
                 t = pa.Table.from_pandas(t, preserve_index=False)
             if t.num_rows == 0:
                 continue
-            tmp = d / f"changes-{i:05d}.parquet.tmp"
-            pq.write_table(t, tmp)
-            tmp.replace(d / f"changes-{i:05d}.parquet")
+            mf.durable_write(d / f"changes-{i:05d}.parquet",
+                             lambda tmp: pq.write_table(t, tmp))
             n += t.num_rows
         _write_cursor(_export_cursor(out), cur)
         return {"from_epoch": last, "to_epoch": cur, "rows": n,
@@ -3237,13 +3224,9 @@ def _read_cursor(path: Path) -> int:
 
 
 def _write_cursor(path: Path, epoch: int) -> None:
-    """Durably move a cursor: temp write, fsync, atomic replace."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps({"epoch": epoch}))
-    with open(tmp, "rb") as fh:
-        os.fsync(fh.fileno())
-    tmp.replace(path)
+    """Durably and atomically move a cursor."""
+    mf.durable_write(
+        path, lambda tmp: tmp.write_text(json.dumps({"epoch": epoch})))
 
 
 def _feed_spans(feed: Path) -> list[tuple[int, int, Path]]:
@@ -3315,8 +3298,7 @@ def replicate_changefeed(
 
       * only spans at or below the EXPORTER's durable cursor are
         consumed — a crashed export's half-written span directory is
-        invisible until its cursor advances (and is then re-read in
-        its rewritten, content-identical form);
+        invisible, and the next export removes it before writing;
       * the replica's own durable cursor (in the replica table
         directory) advances only AFTER the span's epoch commits; a
         crash before that re-applies the span, whose events die at the
@@ -3426,7 +3408,6 @@ def seed_replica(
         epoch = m["epoch"]
     spec = dest.spec
     rep_cursor = _replica_cursor(dest)
-    rep_cursor.parent.mkdir(parents=True, exist_ok=True)
     pend_p = rep_cursor.parent / "_seed_pending.json"
     if mf.read_manifest(dest.root, spec.name):
         # non-empty replica: only a CRASHED seed of this same epoch may
@@ -3440,7 +3421,7 @@ def seed_replica(
                 "replica may hold keys the snapshot cannot tombstone; "
                 "start from a fresh root"
             )
-    pend_p.write_text(json.dumps({"epoch": epoch}))
+    _write_cursor(pend_p, epoch)
     if payload_cols is None:
         payload_cols = spec.payload_cols
 

@@ -10,9 +10,11 @@ epoch by folding the NET change set of the whole gap
 epochs behind, because the signed algebra only needs *a* split
 A_new = A_old + dA, not per-epoch splits).
 
-Crash safety: data files are written first, then the manifest pointer
-swaps via the same tmp+rename+fsync discipline as the lake manifests —
-a crash between the two leaves the old view readable and the next
+Crash safety: data files are written first, then the view manifest is
+replaced; every one of those writes goes through the lake's
+``manifest.durable_write`` (temp + fsync + rename + directory fsync),
+so a committed manifest never names a file a power loss can take
+back.  A crash between the two leaves the old view readable and the next
 ``refresh()`` simply re-folds the gap (idempotent: the fold is a pure
 function of the committed view + the lakes' committed change sets).
 A fresh process re-opens the view from its manifest; epochs already
@@ -51,7 +53,6 @@ from ..state import manifest as mf
 def _write_rows(root: Path, name: str, gen: int, ds: rd.Dataset) -> list[str]:
     """Write a Dataset's rows as one generation of COW parquet files."""
     d = root / f"{name}-g{gen:06d}"
-    d.mkdir(parents=True, exist_ok=True)
     files = []
     for i, ref in enumerate(ds.to_arrow_refs()):
         import ray
@@ -64,9 +65,7 @@ def _write_rows(root: Path, name: str, gen: int, ds: rd.Dataset) -> list[str]:
         if t.num_rows == 0:
             continue
         f = d / f"rows-{i:05d}.parquet"
-        tmp = d / (f.name + ".tmp")
-        pq.write_table(t, tmp)
-        tmp.replace(f)
+        mf.durable_write(f, lambda tmp: pq.write_table(t, tmp))
         files.append(str(f.relative_to(root)))
     return files
 
@@ -95,18 +94,14 @@ class _ViewBase:
         return json.loads(p.read_text())
 
     def _commit(self, m: dict) -> None:
-        p = self.root / "_VIEW_MANIFEST.json"
-        tmp = p.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(m, indent=1))
-        import os
-
-        with open(tmp, "rb") as fh:
-            os.fsync(fh.fileno())
-        tmp.replace(p)
+        text = json.dumps(m, indent=1)
+        mf.durable_write(self.root / "_VIEW_MANIFEST.json",
+                         lambda tmp: tmp.write_text(text))
 
     def gc(self) -> list[str]:
         """Drop data files no committed manifest references (orphans
-        from crashed refreshes and superseded generations)."""
+        from crashed refreshes and superseded generations) and stale
+        write temps (``mf.sweep_temps``)."""
         m = self._manifest()
         live = set()
         if m:
@@ -114,7 +109,8 @@ class _ViewBase:
                 # agg/join views store LISTS of files per slot; the
                 # bucketed views store one path STRING per bucket
                 live.update([fl] if isinstance(fl, str) else fl)
-        gone = []
+        gone = [str(Path(t).relative_to(self.root))
+                for t in mf.sweep_temps(self.root)]
         for f in self.root.rglob("*.parquet"):
             rel = str(f.relative_to(self.root))
             if rel not in live:
@@ -321,16 +317,10 @@ class MaterializedHistoryView(_ViewBase):
                        vschema.empty_table().to_pandas())
                 folded = fold_history_frame(
                     old, g, keys, payload, vschema, lsn_col)
-                d = Path(root) / f"bucket-{b:05d}-g{gen:06d}"
-                d.mkdir(parents=True, exist_ok=True)
-                f = d / "rows.parquet"
-                tmp = d / "rows.parquet.tmp"
-                pq.write_table(folded, tmp)
-                tmp.replace(f)
+                rel = _write_bucket_file(root, b, gen, folded, "rows")
                 return pa.table({
                     "b": pa.array([b], pa.int32()),
-                    "path": pa.array([str(f.relative_to(root))],
-                                     pa.string()),
+                    "path": pa.array([rel], pa.string()),
                 })
 
             stats = (
@@ -423,13 +413,8 @@ class MaterializedHistoryView(_ViewBase):
                     False,
                 )
                 t = t.filter(pc.invert(drop))
-            d = Path(root) / f"bucket-{b:05d}-g{gen:06d}"
-            d.mkdir(parents=True, exist_ok=True)
-            f = d / "rows.parquet"
-            tmp = d / "rows.parquet.tmp"
-            pq.write_table(t.cast(schema), tmp)
-            tmp.replace(f)
-            return b, str(f.relative_to(root)), t.num_rows
+            return (b, _write_bucket_file(root, b, gen, t.cast(schema),
+                                          "rows"), t.num_rows)
 
         out = ray.get([
             rewrite.remote(b, files[str(b)], erase)
@@ -652,13 +637,12 @@ class MaterializedIndexView(_ViewBase):
         return rd.read_parquet(files, schema=schema)
 
 
-def _write_bucket_file(root: str, b: int, gen: int, t: pa.Table) -> str:
-    d = Path(root) / f"bucket-{b:05d}-g{gen:06d}"
-    d.mkdir(parents=True, exist_ok=True)
-    f = d / "postings.parquet"
-    tmp = d / "postings.parquet.tmp"
-    pq.write_table(t, tmp)
-    tmp.replace(f)
+def _write_bucket_file(root: str, b: int, gen: int, t: pa.Table,
+                       stem: str = "postings") -> str:
+    """Durably write one generation of bucket ``b`` (``<stem>.parquet``
+    under ``bucket-<b>-g<gen>/``); returns its root-relative path."""
+    f = Path(root) / f"bucket-{b:05d}-g{gen:06d}" / f"{stem}.parquet"
+    mf.durable_write(f, lambda tmp: pq.write_table(t, tmp))
     return str(f.relative_to(root))
 
 

@@ -330,6 +330,13 @@ def lww_merge(
     delta files need them); default drops them (final state view).
     """
     spec = spec or TableSpec(name="cdc")
+    if spec.patch_ops:
+        # the per-block combiner keeps whole max-lsn rows, so an op='P'
+        # row would win as a whole row instead of folding onto its base
+        raise ValueError(
+            "lww_merge resolves whole rows and cannot fold op='P' "
+            "patches; reduce a patch_ops spec with patch_reduce_table "
+            "(fold=True) instead")
     ev = events.map_batches(_partial(spec), batch_format="pyarrow")
     # num_partitions routes the groupby through the hash-shuffle path —
     # measured ~1.6x faster than the sort shuffle for this string-heavy

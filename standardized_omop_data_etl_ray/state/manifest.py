@@ -1,4 +1,5 @@
-"""Two-phase manifest commit for the copy-on-write Parquet lake.
+"""Two-phase manifest commit for the copy-on-write Parquet lake, and
+the one durable-write path every lake file goes through.
 
 The reference's persistence model is "staging directories as stage
 boundaries" with destructive restart (cleanup_folders at
@@ -6,8 +7,7 @@ pipeline_process_subtables_to_final.py:11-54,156-158).  Ours upgrades that
 to an idempotent two-phase commit (SURVEY.md §7.3 step 4):
 
   phase 1  each partition's merge task writes its epoch delta file under a
-           DETERMINISTIC name (`part=<p>/epoch=<e>/delta.parquet`, written
-           to a tmp name then os.replace → atomic, retry-idempotent) plus a
+           DETERMINISTIC name (`part=<p>/epoch=<e>/delta.parquet`) plus a
            per-partition epoch marker JSON
            (`_markers/epoch-<e>.part-<p>.json`: file list, watermark LSN,
            row/tombstone/byte counts, content-sha rollup = lineage);
@@ -15,6 +15,15 @@ to an idempotent two-phase commit (SURVEY.md §7.3 step 4):
            (`_manifests/manifest-<e>.json`) referencing exactly the files
            named by the markers, then atomically swaps the `MANIFEST`
            pointer file via rename.
+
+Every one of those files — and the lake's cursors, dead-letter files,
+changefeed spans and view files — lands through ``durable_write``: a
+uniquely named ``.tmp`` sibling is filled, fsynced, renamed over the
+final name, and the directory is fsynced; each directory it creates has
+its parent fsynced.  So a file is durable before any later write (a
+marker, a manifest, a cursor) can name it, and a power loss after a
+commit returns cannot leave the commit naming an empty or missing file.
+Leftover temps from crashed writers are reclaimed by ``sweep_temps``.
 
 Readers resolve `MANIFEST` → root manifest → file list; any file not in
 the current manifest (e.g. written by a crashed epoch between phase 1 and
@@ -29,6 +38,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import re
 import time
 from pathlib import Path
 
@@ -186,7 +196,8 @@ def read_manifest_at(root: str | Path, table: str, epoch: int) -> dict | None:
         return json.load(f)
 
 
-def _fsync_dir(path: Path) -> None:
+def _fsync(path: Path) -> None:
+    """fsync a file or a directory by path."""
     fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
@@ -194,50 +205,100 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def commit_manifest(root: str | Path, table: str, manifest: dict) -> None:
-    """Phase 2: persist the root manifest, then atomic pointer swap.
+def make_dirs(d: str | Path) -> None:
+    """``mkdir -p`` that makes every directory it creates durable: the
+    parent of each new directory is fsynced, so a durable file inside
+    it cannot vanish with an unrecorded directory entry."""
+    d = Path(d)
+    if d.is_dir():
+        return
+    make_dirs(d.parent)
+    d.mkdir(exist_ok=True)
+    _fsync(d.parent)
 
-    The pointer swap is the COMMIT POINT, so it must be durable, not
-    just atomic: the pointer tmp is fsynced before the rename and the
-    directory is fsynced after — otherwise power loss after return
-    could revert an acknowledged epoch (or leave an empty pointer)."""
+
+def durable_write(path: str | Path, write) -> None:
+    """Durably and atomically (re)write ``path``: ``write(tmp)`` fills
+    a sibling temp whose name is unique to this call and ends in
+    ``.tmp`` (concurrent retries never share one, and ``sweep_temps``
+    finds every leftover); the temp is fsynced, renamed over ``path``
+    and the directory fsynced.  Missing parents are made by
+    ``make_dirs``.  Readers see the old file or the new one, and once
+    this returns the new one survives a power loss."""
+    path = Path(path)
+    make_dirs(path.parent)
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        write(tmp)
+        _fsync(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    _fsync(path.parent)
+
+
+def durable_rename(src: str | Path, dst: str | Path) -> None:
+    """Atomically rename an already-durable file within its directory
+    and make the rename durable."""
+    os.replace(src, dst)
+    _fsync(Path(dst).parent)
+
+
+# durable_write temps, plus the `<name>.tmp<pid>` marker temps that
+# older versions of this module left behind
+_TEMP_NAME = re.compile(r"\.tmp\d*$")
+
+
+def sweep_temps(root: str | Path) -> list[str]:
+    """Remove leftover write temps under ``root`` (a crash between a
+    temp's write and its rename leaks it forever).  Only temps older
+    than an hour go, so an in-flight writer's live temp is never
+    yanked from under it.  Returns the removed paths."""
+    removed: list[str] = []
+    now = time.time()
+    for t in Path(root).rglob("*.tmp*"):
+        if not _TEMP_NAME.search(t.name):
+            continue
+        try:
+            if now - t.stat().st_mtime > 3600:
+                t.unlink()
+                removed.append(str(t))
+        except FileNotFoundError:
+            pass
+    return removed
+
+
+def _swap_pointer(troot: Path, name: str) -> None:
+    """The commit point: durably point ``MANIFEST`` at ``name``."""
+    durable_write(troot / "MANIFEST", lambda t: t.write_text(name))
+
+
+def _write_json(path: Path, obj, **kw) -> None:
+    durable_write(path, lambda t: t.write_text(
+        json.dumps(obj, sort_keys=True, **kw)))
+
+
+def commit_manifest(root: str | Path, table: str, manifest: dict) -> None:
+    """Phase 2: durably write the root manifest, then the atomic pointer
+    swap — the COMMIT POINT, durable before this returns."""
     # stamped UNCONDITIONALLY: every call is a new commit, and manifests
     # built by spreading an older one (restore, drop_column) must not
     # inherit its stamp — committed_at records the true commit instant
     # (epoch_for_ts orders by it, not by epoch number)
     manifest["committed_at"] = time.time()
     troot = table_root(root, table)
-    mdir = troot / "_manifests"
-    mdir.mkdir(parents=True, exist_ok=True)
     name = f"manifest-{manifest['epoch']:06d}.json"
-    tmp = mdir / (name + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, mdir / name)
-    _fsync_dir(mdir)
-    ptmp = troot / "MANIFEST.tmp"
-    with open(ptmp, "w") as f:
-        f.write(name)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(ptmp, troot / "MANIFEST")  # atomic: readers see old or new
-    _fsync_dir(troot)
+    _write_json(troot / "_manifests" / name, manifest, indent=1)
+    _swap_pointer(troot, name)
 
 
 def write_marker(root: str | Path, table: str, epoch: int, part: int, info: dict) -> None:
     """Phase 1 (called from the partition merge task): durable per-partition
     epoch marker — the lineage record for this (epoch, partition)."""
-    mdir = table_root(root, table) / "_markers"
-    mdir.mkdir(parents=True, exist_ok=True)
-    name = f"epoch-{epoch:06d}.part-{part:05d}.json"
-    tmp = mdir / (name + f".tmp{os.getpid()}")
-    with open(tmp, "w") as f:
-        json.dump(info, f, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, mdir / name)
+    _write_json(table_root(root, table) / "_markers"
+                / f"epoch-{epoch:06d}.part-{part:05d}.json", info)
 
 
 def live_files(root: str | Path, table: str, manifest: dict) -> list[str]:
@@ -266,7 +327,7 @@ def gc(root: str | Path, table: str, retain_manifests: int = 1) -> list[str]:
             snap = read_manifest_at(root, table, e)
             if snap:
                 keep.update(live_files(root, table, snap))
-    removed: list[str] = []
+    removed = sweep_temps(troot)
     for p in troot.rglob("*.parquet"):
         # the dead-letter queue is a side table outside the manifest's
         # file accounting — gc must never reclaim the repair surface
@@ -275,20 +336,6 @@ def gc(root: str | Path, table: str, retain_manifests: int = 1) -> list[str]:
         if str(p) not in keep:
             p.unlink()
             removed.append(str(p))
-    # crashed-writer tmp orphans (.parquet.tmp / .bloom.tmp: a crash
-    # between the tmp write and its rename leaks the tmp forever —
-    # review finding).  Only STALE ones are reclaimed so an in-flight
-    # phase-1 task's live tmp is never yanked from under it.
-    now = time.time()
-    for t in troot.rglob("*.tmp"):
-        if "_dead_letter" in t.parts:
-            continue
-        try:
-            if now - t.stat().st_mtime > 3600:
-                t.unlink()
-                removed.append(str(t))
-        except FileNotFoundError:
-            pass
     # epoch claim markers (claim_epoch) at or below the committed
     # epoch can never be re-claimed — drop them; claims ABOVE it may
     # belong to in-flight writers and must survive
@@ -338,16 +385,9 @@ def stage_manifest(root: str | Path, table: str, manifest: dict) -> str:
     is the commit instant for time-travel purposes (unconditional, like
     ``commit_manifest`` — see the monotonicity note there)."""
     manifest["committed_at"] = time.time()
-    mdir = table_root(root, table) / "_manifests"
-    mdir.mkdir(parents=True, exist_ok=True)
     name = f"manifest-{manifest['epoch']:06d}.json"
-    tmp = mdir / (name + ".staged.tmp")
-    with open(tmp, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, mdir / (name + ".staged"))
-    _fsync_dir(mdir)
+    _write_json(table_root(root, table) / "_manifests" / (name + ".staged"),
+                manifest, indent=1)
     return name
 
 
@@ -360,24 +400,16 @@ def _roll_forward(root: str | Path, group: dict) -> None:
     A pointer already AT or BEYOND the group's epoch is left alone —
     recovery running after later commits must never rewind a table."""
     for table, name in group["tables"].items():
-        mdir = table_root(root, table) / "_manifests"
-        staged, final = mdir / (name + ".staged"), mdir / name
-        if staged.exists():
-            os.replace(staged, final)
-            _fsync_dir(mdir)
         troot = table_root(root, table)
+        staged = troot / "_manifests" / (name + ".staged")
+        if staged.exists():
+            durable_rename(staged, staged.with_name(name))
         ptr = troot / "MANIFEST"
         if ptr.exists():
             cur = ptr.read_text().strip()
             if cur and _manifest_name_epoch(cur) >= _manifest_name_epoch(name):
                 continue
-        ptmp = troot / "MANIFEST.tmp"
-        with open(ptmp, "w") as f:
-            f.write(name)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(ptmp, troot / "MANIFEST")
-        _fsync_dir(troot)
+        _swap_pointer(troot, name)
 
 
 def commit_group(root: str | Path,
@@ -385,7 +417,7 @@ def commit_group(root: str | Path,
     """Atomically commit ``{table: manifest}`` across tables.
 
     1. stage every manifest (durable, invisible);
-    2. fsync-rename ONE group record — the commit point;
+    2. durably write ONE group record — the commit point;
     3. roll every pointer forward and mark the record done.
     A crash after (2) is completed by ``recover_groups`` at next open;
     a crash before (2) aborts cleanly (only .staged orphans remain)."""
@@ -393,19 +425,11 @@ def commit_group(root: str | Path,
     gid = "-".join(
         f"{t}:{m['epoch']}" for t, m in sorted(entries.items())
     )
-    gdir = _txn_dir(root)
-    gdir.mkdir(parents=True, exist_ok=True)
     group = {"tables": names, "id": gid}
-    tmp = gdir / f"group-{gid}.json.tmp"
-    with open(tmp, "w") as f:
-        json.dump(group, f, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, gdir / f"group-{gid}.json")  # COMMIT POINT
-    _fsync_dir(gdir)
+    record = _txn_dir(root) / f"group-{gid}.json"
+    _write_json(record, group)  # COMMIT POINT
     _roll_forward(root, group)
-    os.replace(gdir / f"group-{gid}.json", gdir / f"group-{gid}.done")
-    _fsync_dir(gdir)
+    durable_rename(record, record.with_suffix(".done"))
     return gid
 
 
@@ -417,10 +441,8 @@ def recover_groups(root: str | Path) -> list[str]:
         return []
     done = []
     for p in sorted(gdir.glob("group-*.json")):
-        group = json.load(open(p))
+        group = json.loads(p.read_text())
         _roll_forward(root, group)
-        os.replace(p, p.with_suffix(".done"))
+        durable_rename(p, p.with_suffix(".done"))
         done.append(group["id"])
-    if done:
-        _fsync_dir(gdir)
     return done

@@ -72,15 +72,27 @@ def test_exactly_once_replay_is_noop(tmp_path):
     assert mf.read_manifest(str(tmp_path), "cdc")["epoch"] == epoch_before + 1
 
 
-def test_crash_between_phase1_and_phase2_then_resume(tmp_path):
+def test_crash_between_phase1_and_phase2_then_resume(tmp_path, monkeypatch):
     lake = CDCLake(tmp_path, _spec())
     lake.apply_events(rd.from_arrow(BATCHES[0]))
     committed = canonical_state(_state(lake))
+    epoch = mf.read_manifest(str(tmp_path), "cdc")["epoch"] + 1
 
-    # crash: phase-1 files + markers written, manifest NOT swapped
-    rec = lake.apply_events(rd.from_arrow(BATCHES[1]), _fail_before_commit=True)
-    assert rec["committed"] is False
+    # crash: phase-1 files + markers written (by the workers), then the
+    # driver dies at its first root-manifest write
+    real = mf.durable_write
+
+    def crash_at_manifest(path, write):
+        if Path(path).name.startswith("manifest-"):
+            raise RuntimeError("crash before phase 2")
+        real(path, write)
+
+    monkeypatch.setattr(mf, "durable_write", crash_at_manifest)
+    with pytest.raises(RuntimeError, match="crash before phase 2"):
+        lake.apply_events(rd.from_arrow(BATCHES[1]))
+    monkeypatch.undo()
     # orphan delta files exist on disk but are invisible to readers
+    assert list(tmp_path.glob(f"cdc/part=*/epoch={epoch:06d}/*.parquet"))
     assert canonical_state(_state(lake)).equals(committed)
 
     # resume: a NEW lake instance (fresh driver) re-applies the open window

@@ -301,6 +301,23 @@ def test_patch_guards(tmp_path):
                     [True] * t.num_rows)))
 
 
+def test_lww_merge_refuses_patch_spec():
+    """``lww_merge`` keeps whole max-lsn rows: on a patch spec the P row
+    would win whole (lang null, not 'py'), so the spec is refused."""
+    from standardized_omop_data_etl_ray.stages.merge import lww_merge
+    from standardized_omop_data_etl_ray.stages.standardize import (
+        make_standardizer,
+    )
+
+    spec = _spec(p=2)
+    ev = rd.from_arrow(_events_table([
+        ("I", 1, "r", "p", "py", "a"),
+        ("P", 2, "r", "p", None, "b"),
+    ])).map_batches(make_standardizer(spec), batch_format="pyarrow")
+    with pytest.raises(ValueError, match="patch_reduce_table"):
+        lww_merge(ev, spec).materialize()
+
+
 def test_patch_op_dlq_validity(tmp_path):
     ev = _events_table([
         ("I", 0, "r", "a", "en", "x"),
