@@ -44,8 +44,7 @@ import ray.data as rd
 
 from ..functions import hashing
 from ..spec import TableSpec
-from ..stages.merge import (drop_tombstones, lww_reduce_table,
-                            patch_reduce_table)
+from ..stages.merge import drop_tombstones, resolve
 from ..stages.standardize import make_standardizer
 from ..state import bloom
 from ..state import manifest as mf
@@ -204,15 +203,10 @@ def _delta_writer(root: str, table: str, epoch: int, spec: TableSpec,
         hashing.tune_worker_threads()
         part = int(group.column("part")[0].as_py())
         events_seen = group.num_rows
-        if spec.patch_ops:
-            # subset-safe patch reduce: the epoch's delta keeps, per
-            # key, the max-lsn full row PLUS every patch above it —
-            # folding happens only at terminal reads (merge-on-read /
-            # compaction), where all epochs are present
-            delta = patch_reduce_table(group, key_cols, lsn_col,
-                                       spec.op_col)
-        else:
-            delta = lww_reduce_table(group, key_cols, lsn_col)
+        # subset-safe: a patch lake's delta keeps, per key, the max-lsn
+        # full row PLUS every patch above it — folding happens only at
+        # terminal reads, where all epochs are present
+        delta = resolve(group, spec, final=False)
         # gate audit (ROADMAP #19): count the WINNING gated tombstones,
         # then drop the marker so the delta schema stays canonical
         n_gated = 0
@@ -503,9 +497,9 @@ def _partition_resolver(schema: pa.Schema, spec: TableSpec,
                         read_columns: list[str] | None = None,
                         predicate=None):
     """Batch fn over a table of per-partition file lists: read the
-    partition's delta files, LWW-resolve, drop tombstones.  Shared by
-    the merge-on-read path and compaction so their semantics cannot
-    drift.
+    partition's delta files and fold them with the terminal
+    ``stages/merge.resolve``, then drop tombstones.  Shared by the
+    merge-on-read path and compaction.
 
     ``read_columns``: PROJECTION pushed into the parquet read — only
     these columns leave storage (must include the key/lsn/op columns
@@ -516,14 +510,15 @@ def _partition_resolver(schema: pa.Schema, spec: TableSpec,
     filtered rows never leave the task.
 
     ``honor_wm``: the plan table carries each partition's stored
-    watermark, and only tombstones AT OR BELOW it are dropped — the
-    classic delete-marker GC rule.  A tombstone above the watermark is
-    still load-bearing: dropping it would let a redelivered event in
-    (wm, tombstone_lsn) resurrect the deleted key (post-reshard
-    partitions hold wm = min over old partitions, below their own
-    tombstones' lsns).  Merge-on-read readers drop ALL tombstones (a
-    live view never shows them); only the COMPACTION rewrite, which
-    destroys the history, needs the guard."""
+    watermark, passed to ``resolve`` as ``wm`` — only tombstones AT OR
+    BELOW it are dropped (the classic delete-marker GC rule), and
+    base-less patches above it survive.  A tombstone above the
+    watermark is still load-bearing: dropping it would let a
+    redelivered event in (wm, tombstone_lsn) resurrect the deleted key
+    (post-reshard partitions hold wm = min over old partitions, below
+    their own tombstones' lsns).  Merge-on-read readers drop ALL
+    tombstones (a live view never shows them); only the COMPACTION
+    rewrite, which destroys the history, needs the guard."""
 
     def resolve_partition(batch: pa.Table) -> pa.Table:
         import pyarrow.dataset as pds
@@ -534,24 +529,10 @@ def _partition_resolver(schema: pa.Schema, spec: TableSpec,
             merged = pds.dataset(files, schema=schema).to_table(
                 columns=read_columns
             )
-            if spec.patch_ops:
-                # terminal fold; at compaction (honor_wm) base-less
-                # patches above the stored watermark survive as rows —
-                # the patch analog of the delete-marker GC rule
-                resolved = patch_reduce_table(
-                    merged, spec.key_cols, spec.lsn_col, spec.op_col,
-                    fold=True, wm=wms[i] if honor_wm else None,
-                )
-            else:
-                resolved = lww_reduce_table(merged, spec.key_cols,
-                                            spec.lsn_col)
+            resolved = resolve(merged, spec, final=True,
+                               wm=wms[i] if honor_wm else None)
             if honor_wm:
-                is_tomb = pc.equal(resolved.column(spec.op_col), "D")
-                droppable = pc.and_(
-                    is_tomb,
-                    pc.less_equal(resolved.column(spec.lsn_col), wms[i]),
-                )
-                outs.append(resolved.filter(pc.invert(droppable)))
+                outs.append(resolved)
             else:
                 live = drop_tombstones(resolved, spec.op_col)
                 if predicate is not None:
@@ -651,18 +632,42 @@ def _file_epoch(rel_path: str) -> int:
     return -1
 
 
+def _change_schema(schema: pa.Schema, spec: TableSpec,
+                   carry_cols: list[str] | None) -> pa.Schema:
+    """The change-set schema over a state ``schema``: keys, ``change``,
+    ``old_``/``new_`` lsn and ``old_``/``new_`` of each carry column."""
+    def pair(c: str) -> list[pa.Field]:
+        typ = schema.field(c).type
+        return [pa.field("old_" + c, typ), pa.field("new_" + c, typ)]
+
+    return pa.schema(
+        [schema.field(k) for k in spec.key_cols]
+        + [pa.field("change", pa.string())] + pair(spec.lsn_col)
+        + [f for c in carry_cols or () for f in pair(c)]
+    )
+
+
 def epoch_change_set(
     lake: "CDCLake",
     epoch: int,
     carry_cols: list[str] | None = None,
     stats_out: dict | None = None,
 ) -> rd.Dataset:
-    """DELTA-SOURCED change set for one committed epoch (ROADMAP #21 /
-    VERDICT r3 #5): same output contract as ``stages/merge.snapshot_diff``
-    — one row per changed key, ``change`` ∈ {'added','deleted','updated'},
-    ``old_``/``new_`` version and carry columns — but computed from the
-    epoch's OWN delta files joined against the prior winners of only the
-    TOUCHED partitions, never by diffing two full state snapshots.
+    """DELTA-SOURCED change set for one committed epoch: same output
+    contract as ``stages/merge.snapshot_diff`` — one row per changed
+    key, ``change`` ∈ {'added','deleted','updated'}, ``old_``/``new_``
+    version and carry columns — computed from the TOUCHED partitions
+    only, never by diffing two full state snapshots.
+
+    One algorithm for every spec, built on the same winner rule as the
+    table state (``stages/merge.resolve``, terminal fold): per touched
+    partition, the old side is the resolve of the pre-epoch files, the
+    new side the resolve of those files plus the epoch's own; both are
+    cut down to the keys the epoch's rows touched.  A touched key whose
+    resolved lsn does not move emits no row (the version rule of
+    ``snapshot_diff`` and ``net_change_sets``), so a redelivered stale
+    event, or a patch with no base, reports nothing — the change set
+    can never name a version ``read_state`` does not show.
 
     Scale shape: untouched partitions are never read (per-epoch cost is
     proportional to the change set across partitions); within a touched
@@ -678,7 +683,7 @@ def epoch_change_set(
     is prior state regardless of its epoch tag (a mid-stream compaction
     base may carry a higher number).  Valid until ``gc()`` reclaims the
     superseded data files — then the read raises FileNotFoundError
-    rather than silently mis-diffing (review finding, round 4).
+    rather than silently mis-diffing.
     ``stats_out`` (optional dict) receives rows-processed evidence:
     partitions touched/total and file counts read per side."""
     import pyarrow.dataset as pds
@@ -698,10 +703,10 @@ def epoch_change_set(
         list(spec.key_cols), spec.lsn_col, spec.op_col,
     )
     carry = list(carry_cols or ())
-    schema = mf.schema_from_b64(m["schema"]) if m else lake._state_schema()
+    schema = mf.schema_from_b64(m["schema"])
 
     new_files, old_files = [], []
-    for info in (m or {"partitions": {}})["partitions"].values():
+    for info in m["partitions"].values():
         nf = [f for f in info["files"] if _file_epoch(f) == epoch]
         if not nf:
             continue
@@ -712,76 +717,35 @@ def epoch_change_set(
     if stats_out is not None:
         stats_out.update(
             partitions_touched=len(new_files),
-            partitions_total=len((m or {"partitions": {}})["partitions"]),
+            partitions_total=len(m["partitions"]),
             files_new=sum(map(len, new_files)),
             files_old=sum(map(len, old_files)),
         )
 
-    diff_schema = pa.schema(
-        [schema.field(k) for k in key_cols]
-        + [pa.field("change", pa.string()),
-           pa.field("old_" + lsn_col, schema.field(lsn_col).type),
-           pa.field("new_" + lsn_col, schema.field(lsn_col).type)]
-        + [f for c in carry
-           for f in (pa.field("old_" + c, schema.field(c).type),
-                     pa.field("new_" + c, schema.field(c).type))]
-    )
+    diff_schema = _change_schema(schema, spec, carry)
     if not new_files:
         return rd.from_arrow(diff_schema.empty_table())
 
     keep_cols = key_cols + [lsn_col, op_col, "key_hash"] + carry
 
+    def read(files: list[str]) -> pa.Table:
+        return pds.dataset(files, schema=schema).to_table(columns=keep_cols)
+
     def classify_partition(batch: pa.Table) -> pa.Table:
         out = []
         for nfs, ofs in zip(batch.column("new").to_pylist(),
                             batch.column("old").to_pylist()):
-            new = pds.dataset(nfs, schema=schema).to_table().select(keep_cols)
-            if spec.patch_ops:
-                # a patch row is not the key's resolved value — fold the
-                # TOUCHED PARTITION (old + new files, the same reads the
-                # non-patch path already does) with the terminal kernel
-                # so the 'new' side is the true post-epoch value; keys
-                # whose only epoch rows are base-less patches fold away
-                # (no-ops, no change-set row)
-                khn = np.unique(
-                    new.column("key_hash").to_numpy(zero_copy_only=False)
-                )
-                old_raw = (
-                    pds.dataset(ofs, schema=schema).to_table()
-                    .select(keep_cols) if ofs else new.schema.empty_table()
-                )
-                post = patch_reduce_table(
-                    pa.concat_tables([old_raw, new]), key_cols, lsn_col,
-                    op_col, fold=True,
-                )
-                kp = post.column("key_hash").to_numpy(zero_copy_only=False)
-                new = post.filter(pa.array(np.isin(kp, khn)))
-                old = drop_tombstones(
-                    patch_reduce_table(old_raw, key_cols, lsn_col,
-                                       op_col, fold=True),
-                    op_col,
-                )
-                kho = old.column("key_hash").to_numpy(zero_copy_only=False)
-                old = old.filter(pa.array(np.isin(kho, khn)))
-            else:
-                new = lww_reduce_table(new, key_cols, lsn_col)
-                if ofs:
-                    old = pds.dataset(ofs, schema=schema).to_table().select(
-                        keep_cols
-                    )
-                    old = drop_tombstones(
-                        lww_reduce_table(old, key_cols, lsn_col), op_col
-                    )
-                    # cheap prefilter: only keys touched this epoch (hash
-                    # collisions are supersets — the key join below is
-                    # exact)
-                    khn = new.column("key_hash").to_numpy(
-                        zero_copy_only=False)
-                    kho = old.column("key_hash").to_numpy(
-                        zero_copy_only=False)
-                    old = old.filter(pa.array(np.isin(kho, khn)))
-                else:
-                    old = new.schema.empty_table()
+            epoch_rows = read(nfs)
+            prior = read(ofs) if ofs else epoch_rows.schema.empty_table()
+            # the resolve is per key, so only the touched keys' prior
+            # rows need reading into it (a key-hash collision adds an
+            # untouched key, whose version cannot move)
+            kh = epoch_rows.column("key_hash").to_numpy(zero_copy_only=False)
+            prior = prior.filter(pa.array(np.isin(
+                prior.column("key_hash").to_numpy(zero_copy_only=False), kh)))
+            old = drop_tombstones(resolve(prior, spec, final=True), op_col)
+            new = resolve(pa.concat_tables([prior, epoch_rows]), spec,
+                          final=True)
             j = new.drop_columns(["key_hash"]).join(
                 old.drop_columns(["key_hash", op_col]),
                 keys=key_cols, join_type="left outer",
@@ -793,11 +757,17 @@ def epoch_change_set(
             was_live = pc.is_valid(
                 j.column(lsn_col + "_old")
             ).to_numpy(zero_copy_only=False)
+            moved = pc.fill_null(
+                pc.not_equal(j.column(lsn_col), j.column(lsn_col + "_old")),
+                True,
+            ).to_numpy(zero_copy_only=False)
             change = np.where(
                 was_live, np.where(is_del, "deleted", "updated"),
                 np.where(is_del, "drop", "added"),
             )
-            keep = change != "drop"  # tombstone of a never-live key
+            # a tombstone of a never-live key, or a key whose resolved
+            # version did not move, is no change
+            keep = (change != "drop") & moved
             j = j.filter(pa.array(keep))
             change = change[keep]
             cols = {k: j.column(k) for k in key_cols}
@@ -806,7 +776,7 @@ def epoch_change_set(
             cols["new_" + lsn_col] = j.column(lsn_col)
             for c in carry:
                 cols["old_" + c] = j.column(c + "_old")
-                # a delete's payload is null in the delta row itself
+                # a delete's payload is null in the tombstone itself
                 cols["new_" + c] = j.column(c)
             out.append(pa.table(cols).cast(diff_schema))
         if not out:
@@ -1153,6 +1123,11 @@ class CDCLake:
     ) -> dict:
         """Apply one micro-batch (one epoch).  Returns the commit record.
 
+        A batch that writes no file and dead-letters no row (a full
+        redelivery below the watermarks, an empty batch) commits
+        nothing: its record says ``committed: False`` and the manifest,
+        the pointer and ``lineage`` stay as they were.
+
         ``txn`` defers the commit into a multi-table transaction: phase
         1 runs now (delta files + markers, invisible), the manifest is
         STAGED, and visibility arrives only at ``txn.commit()`` —
@@ -1171,6 +1146,9 @@ class CDCLake:
 
         stats = self._phase1(events, epoch, self._watermarks(m))
         record = self._epoch_record(epoch, stats, t0)
+        if not stats and not record.get("rows_dead_lettered"):
+            record.update(commit_sec=0.0, committed=False)
+            return record
         committed = self._commit(m, epoch, stats, record, txn=txn)
         if txn is not None:
             record["committed"] = False  # until txn.commit()
@@ -1285,17 +1263,8 @@ class CDCLake:
             _watermark_filter(wm, spec.lsn_col), batch_format="pyarrow"
         )
         # per-block combiner: the shuffle moves per-key partials
-        if spec.patch_ops:
-            ev = std.map_batches(
-                lambda b: patch_reduce_table(
-                    b, spec.key_cols, spec.lsn_col, spec.op_col),
-                batch_format="pyarrow",
-            )
-        else:
-            ev = std.map_batches(
-                lambda b: lww_reduce_table(b, spec.key_cols, spec.lsn_col),
-                batch_format="pyarrow",
-            )
+        ev = std.map_batches(lambda b: resolve(b, spec, final=False),
+                             batch_format="pyarrow")
         stats_ds = ev.groupby("part", num_partitions=P).map_groups(
             writer, batch_format="pyarrow"
         )
@@ -1522,13 +1491,13 @@ class CDCLake:
             lo, hi = lsn_range
             troot = Path(self.root) / self.spec.name
             lsn_col = self.spec.lsn_col
-            files = []
-            for info in m["partitions"].values():
-                fstats = info.get("file_stats", {})
-                for f in info["files"]:
-                    st = fstats.get(f, {}).get(lsn_col)
-                    if st is None or (st[1] >= lo and st[0] <= hi):
-                        files.append(str(troot / f))
+            dnf = [[(lsn_col, ">=", lo), (lsn_col, "<=", hi)]]
+            files = [
+                str(troot / f)
+                for info in m["partitions"].values()
+                for f in info["files"]
+                if not _stats_disprove(info.get("file_stats", {}).get(f), dnf)
+            ]
             if not files:
                 return None
             schema = mf.schema_from_b64(m["schema"])
@@ -1740,21 +1709,13 @@ class CDCLake:
                 continue
             fstats = info.get("file_stats", {})
             sought_kh = kh_np[idxs]
+            # one AND-conjunction of key equalities per sought key
+            dnf = [[(c, "=", keys[i][c]) for c in key_cols] for i in idxs]
             cand = []
             for f in info["files"]:
                 total += 1
-                st = fstats.get(f)
-                if st is not None:
-                    hit = any(
-                        all(
-                            st.get(c) is None
-                            or (st[c][0] <= keys[i][c] <= st[c][1])
-                            for c in key_cols
-                        )
-                        for i in idxs
-                    )
-                    if not hit:
-                        continue
+                if _stats_disprove(fstats.get(f), dnf):
+                    continue
                 # key-hash bloom sidecar: definite miss → skip the file
                 # (the prune that bites on hash-scattered deltas whose
                 # zone ranges span the partition); missing sidecar →
@@ -1777,15 +1738,9 @@ class CDCLake:
             if t.num_rows:
                 if not _resolve:  # key_history: keep every version
                     tabs.append(t)
-                elif self.spec.patch_ops:
-                    t = patch_reduce_table(
-                        t, key_cols, self.spec.lsn_col, self.spec.op_col,
-                        fold=True,
-                    )
-                    tabs.append(drop_tombstones(t, self.spec.op_col))
                 else:
-                    t = lww_reduce_table(t, key_cols, self.spec.lsn_col)
-                    tabs.append(drop_tombstones(t, self.spec.op_col))
+                    tabs.append(drop_tombstones(
+                        resolve(t, self.spec, final=True), self.spec.op_col))
         if stats_out is not None:
             stats_out.update(files_total=total, files_read=read,
                              files_bloom_skipped=bloom_skipped)
@@ -1883,26 +1838,9 @@ class CDCLake:
         )
         if not apply_epochs:
             # empty span: no committed apply epochs inside it
-            key_fields = [
-                f for f in mf.schema_from_b64(m["schema"])
-                if f.name in self.spec.key_cols
-            ]
-            lsn_t = mf.schema_from_b64(m["schema"]).field(
-                self.spec.lsn_col).type
-            sch = pa.schema(
-                key_fields
-                + [pa.field("change", pa.string()),
-                   pa.field("old_" + self.spec.lsn_col, lsn_t),
-                   pa.field("new_" + self.spec.lsn_col, lsn_t)]
-                + [f2 for c in (carry_cols or ())
-                   for f2 in (
-                       pa.field("old_" + c,
-                                mf.schema_from_b64(m["schema"]).field(c).type),
-                       pa.field("new_" + c,
-                                mf.schema_from_b64(m["schema"]).field(c).type),
-                   )]
-            )
-            return rd.from_arrow(sch.empty_table())
+            return rd.from_arrow(_change_schema(
+                mf.schema_from_b64(m["schema"]), self.spec,
+                carry_cols).empty_table())
         # materialized: each diff is change-set-sized, and the net fold
         # reads every diff twice (schema probe + union) — without this
         # the per-epoch classify pipelines execute twice over
@@ -2412,13 +2350,10 @@ class CDCLake:
                 keys = pds.dataset(files, schema=state_schema).to_table(
                     columns=key_cols + [lsn_col, op_col]
                 )
-                if spec.patch_ops:
-                    # liveness is decided by non-patch rows only (a
-                    # patch never creates or deletes a key)
-                    keys = keys.filter(
-                        pc.not_equal(keys.column(op_col), "P"))
+                # a patch never creates or deletes a key: the fold
+                # drops base-less patches and keeps the base's op
                 live = drop_tombstones(
-                    lww_reduce_table(keys, key_cols, lsn_col), op_col
+                    resolve(keys, spec, final=True), op_col
                 ).select(key_cols)
                 live = live.append_column(
                     "__live",

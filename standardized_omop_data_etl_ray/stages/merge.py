@@ -5,18 +5,27 @@ Generalizes the reference's priority-ordered dedup-merge
 on key (person_id, concept_id); A1 in SURVEY.md §2.5) to CDC semantics:
 per key (repo, path), the event with the greatest LSN wins; a winning
 tombstone (op='D') removes the key; duplicate deliveries of the same LSN
-are idempotent (identical payload).
+are idempotent (identical payload).  A ``patch_ops`` table adds partial
+updates (op='P'), folded column-wise onto their base.
+
+One winner rule: ``resolve`` is the only code that picks the reduce
+kernel for a spec and applies compaction's tombstone rule.  The apply
+path's combiner and delta writer, merge-on-read, compaction, point
+lookups, MERGE INTO's liveness probe, ``lww_merge`` and the per-epoch
+change sets all call it, so the change feed can never report a version
+the table state does not hold.
 
 Distributed shape — a two-stage merge so hot keys never serialize:
 
-  stage 1 (combiner, stateless ``map_batches``): partial LWW inside each
-      delivery batch.  A key receiving 10^6 events across 10^4 blocks
-      reaches the shuffle as ≤10^4 rows — the all-to-all exchange moves
-      per-key partials, not raw events.  Valid because max-by-LSN is
+  stage 1 (combiner, stateless ``map_batches``): ``resolve(final=False)``
+      inside each delivery batch.  A key receiving 10^6 events across
+      10^4 blocks reaches the shuffle as ≤10^4 rows (plus its patches) —
+      the all-to-all exchange moves per-key partials, not raw events.
+      Valid because the partial reduce is subset-safe: max-by-LSN is
       associative and commutative, so block boundaries are arbitrary.
   stage 2 (final): ``groupby(part).map_groups`` — one group per hash
-      partition, LWW per key inside the group via a vectorized window
-      (DuckDB C++ over zero-copy Arrow).
+      partition, ``resolve(final=True)`` per key inside the group via a
+      vectorized window (DuckDB C++ over zero-copy Arrow).
 
 Determinism: the winner depends only on (key, max lsn) — independent of
 partition count, block boundaries and arrival order, which the tests
@@ -134,15 +143,14 @@ def patch_reduce_table(
         ).fetch_arrow_table()
         return out.cast(t.schema)
 
-    payload = [
-        c for c in t.column_names
-        if c not in (*key_cols, lsn_col, op_col, "commit")
-    ]
+    # the folded select list, joined so a table with no payload column
+    # (a keys-only probe) still builds valid SQL
     folded_cols = ",\n".join(
-        f"last_value({c} IGNORE NULLS) OVER w AS {c}" for c in payload
-    )
-    commit_sel = (
-        "last_value(commit) OVER w AS commit,\n" if tiebreak else ""
+        [f"MAX({lsn_col}) OVER w AS {lsn_col}"]
+        + (["last_value(commit) OVER w AS commit"] if tiebreak else [])
+        + [f"last_value({c} IGNORE NULLS) OVER w AS {c}"
+           for c in t.column_names
+           if c not in (*key_cols, lsn_col, op_col, "commit")]
     )
     out = con.execute(
         f"""
@@ -175,8 +183,7 @@ def patch_reduce_table(
                     (PARTITION BY {keys} ORDER BY ({op_col} <> 'P') ASC
                      ROWS BETWEEN UNBOUNDED PRECEDING
                      AND UNBOUNDED FOLLOWING) AS {op_col},
-                MAX({lsn_col}) OVER w AS {lsn_col},
-                {commit_sel}{folded_cols},
+                {folded_cols},
                 COUNT(CASE WHEN {op_col} = 'P' THEN 1 END) OVER w
                     AS __n_patch,
                 ROW_NUMBER() OVER (PARTITION BY {keys}
@@ -217,25 +224,34 @@ def patch_reduce_table(
     return out
 
 
-def _partial(spec: TableSpec):
-    key_cols, lsn = spec.key_cols, spec.lsn_col
+def resolve(t: pa.Table, spec: TableSpec, *, final: bool,
+            wm: int | None = None) -> pa.Table:
+    """The engine's one winner rule: which version of each key wins,
+    and which tombstones may go.  Every combiner, delta write, merge-on-
+    read, compaction, point lookup, MERGE INTO probe and change set
+    resolves through here, so they cannot disagree.
 
-    def fn(batch: pa.Table) -> pa.Table:
-        return lww_reduce_table(batch, key_cols, lsn)
+    ``final=False`` is the subset-safe partial reduce (the per-block
+    combiner and the epoch's delta write); ``final=True`` is the
+    terminal fold over every row of the key.  A ``patch_ops`` spec
+    reduces with ``patch_reduce_table``, any other with
+    ``lww_reduce_table``.  ``wm`` (compaction, with ``final``) drops
+    only tombstones at or below it and keeps base-less patches above it
+    — both may still guard a redelivery the stored watermark lets in.
+    Winning tombstones stay in the result; live readers wrap it in
+    ``drop_tombstones``."""
+    import pyarrow.compute as pc
 
-    return fn
-
-
-def _group_final(spec: TableSpec, keep_tombstones: bool):
-    key_cols, lsn, op = spec.key_cols, spec.lsn_col, spec.op_col
-
-    def fn(group: pa.Table) -> pa.Table:
-        out = lww_reduce_table(group, key_cols, lsn)
-        if not keep_tombstones:
-            out = drop_tombstones(out, op)
+    if spec.patch_ops:
+        out = patch_reduce_table(t, spec.key_cols, spec.lsn_col,
+                                 spec.op_col, fold=final, wm=wm)
+    else:
+        out = lww_reduce_table(t, spec.key_cols, spec.lsn_col)
+    if wm is None:
         return out
-
-    return fn
+    droppable = pc.and_(pc.equal(out.column(spec.op_col), "D"),
+                        pc.less_equal(out.column(spec.lsn_col), wm))
+    return out.filter(pc.invert(droppable))
 
 
 def priority_merge(
@@ -322,7 +338,8 @@ def lww_merge(
     *,
     keep_tombstones: bool = False,
 ) -> rd.Dataset:
-    """Full two-stage LWW merge over standardized events.
+    """Full two-stage LWW merge over standardized events (a
+    ``patch_ops`` spec folds its patches, like the lake's read path).
 
     ``events`` must already carry key_hash/part columns (see
     stages/standardize.py).  Returns one row per surviving key.
@@ -330,19 +347,18 @@ def lww_merge(
     delta files need them); default drops them (final state view).
     """
     spec = spec or TableSpec(name="cdc")
-    if spec.patch_ops:
-        # the per-block combiner keeps whole max-lsn rows, so an op='P'
-        # row would win as a whole row instead of folding onto its base
-        raise ValueError(
-            "lww_merge resolves whole rows and cannot fold op='P' "
-            "patches; reduce a patch_ops spec with patch_reduce_table "
-            "(fold=True) instead")
-    ev = events.map_batches(_partial(spec), batch_format="pyarrow")
+
+    def winners(group: pa.Table) -> pa.Table:
+        out = resolve(group, spec, final=True)
+        return out if keep_tombstones else drop_tombstones(out, spec.op_col)
+
+    ev = events.map_batches(lambda b: resolve(b, spec, final=False),
+                            batch_format="pyarrow")
     # num_partitions routes the groupby through the hash-shuffle path —
     # measured ~1.6x faster than the sort shuffle for this string-heavy
     # payload and scaling cleanly 8→32 CPUs (see BENCH/BASELINE.md)
     return ev.groupby("part", num_partitions=spec.num_partitions).map_groups(
-        _group_final(spec, keep_tombstones), batch_format="pyarrow"
+        winners, batch_format="pyarrow"
     )
 
 

@@ -64,12 +64,16 @@ def test_exactly_once_replay_is_noop(tmp_path):
         lake.apply_events(rd.from_arrow(b))
     before = canonical_state(_state(lake))
     epoch_before = mf.read_manifest(str(tmp_path), "cdc")["epoch"]
-    # re-deliver the first batch (at-least-once source): watermark skips all
+    lineage_before = len(lake.lineage())
+    # re-deliver the first batch (at-least-once source): watermark skips
+    # all, and an epoch with nothing to write commits nothing
     rec = lake.apply_events(rd.from_arrow(BATCHES[0]))
     assert rec["events_seen"] == 0 and rec["partitions_touched"] == 0
+    assert rec["committed"] is False
     after = canonical_state(_state(lake))
     assert before.equals(after)
-    assert mf.read_manifest(str(tmp_path), "cdc")["epoch"] == epoch_before + 1
+    assert mf.read_manifest(str(tmp_path), "cdc")["epoch"] == epoch_before
+    assert len(lake.lineage()) == lineage_before
 
 
 def test_crash_between_phase1_and_phase2_then_resume(tmp_path, monkeypatch):
@@ -2844,3 +2848,85 @@ def test_late_events_below_watermark_are_applied(tmp_path):
     lake.apply_events(rd.from_arrow(late))
     assert_states_equal(
         _state(lake), oracle_apply(pa.concat_tables([first, late])))
+
+
+def _two_part_keys():
+    """Two paths under repo 'r' that hash to different partitions of a
+    2-partition lake."""
+    from standardized_omop_data_etl_ray.functions.hashing import (
+        key_hash_u64,
+        partition_of,
+    )
+
+    paths = [f"k{i}" for i in range(16)]
+    parts = partition_of(
+        key_hash_u64(pa.array(["r"] * len(paths)), pa.array(paths)), 2
+    ).to_pylist()
+    return (next(p for p, q in zip(paths, parts) if q == 0),
+            next(p for p, q in zip(paths, parts) if q == 1))
+
+
+def _events(rows) -> pa.Table:
+    """(op, lsn, path, content) rows → CDC events under repo 'r'."""
+    return pa.table({
+        "op": [r[0] for r in rows],
+        "lsn": pa.array([r[1] for r in rows], pa.int64()),
+        "repo": ["r"] * len(rows), "path": [r[2] for r in rows],
+        "commit": [f"c{r[1]}" for r in rows],
+        "lang": ["py"] * len(rows),
+        "content": [r[3] for r in rows],
+    })
+
+
+def test_change_set_ignores_stale_redelivery_after_reshard(tmp_path):
+    """reshard() gives every new partition the minimum old watermark,
+    so a redelivered stale event passes the watermark filter and lands
+    in a delta file.  It loses to the key's winner in ``read_state``;
+    the epoch's change set, the net change feed and a replica built
+    from that feed must agree with it and report nothing."""
+    from standardized_omop_data_etl_ray.pipelines.cdc import (
+        epoch_change_set,
+        replicate_changefeed,
+        verify_replica,
+    )
+
+    a, b = _two_part_keys()
+    lake = CDCLake(tmp_path / "src", _spec(2), auto_compact_files=None)
+    lake.apply_events(rd.from_arrow(_events([
+        ("I", 50, a, "a0"), ("U", 100, a, "a1"), ("I", 5, b, "b0")])))
+    lake.reshard(3)  # every new partition: wm = min(100, 5) = 5
+    rec = lake.apply_events(rd.from_arrow(_events([("I", 50, a, "a0")])))
+    assert rec["committed"] and rec["epoch"] == 3
+    st = _state(lake).to_pandas().set_index("path")
+    assert st.loc[a, "lsn"] == 100 and st.loc[a, "content"] == "a1"
+
+    assert epoch_change_set(lake, rec["epoch"],
+                            carry_cols=["content"]).count() == 0
+    assert lake.changes_between(2).count() == 0
+
+    feed = tmp_path / "feed"
+    lake.export_changefeed(str(feed), carry_cols=["commit", "lang", "content"])
+    replica = CDCLake(tmp_path / "dst", TableSpec(name="replica",
+                                                  num_partitions=2))
+    replicate_changefeed(str(feed), replica)
+    assert verify_replica(lake, replica)["equal"]
+
+
+def test_stream_change_set_ignores_stale_redelivery(tmp_path):
+    """With ``max_inflight=2`` the second window filters against the
+    watermarks from before the first window committed, so its stale
+    redelivery reaches a delta file.  The epoch's change set must not
+    report the stale version as an update."""
+    from standardized_omop_data_etl_ray.pipelines.cdc import epoch_change_set
+
+    a, _b = _two_part_keys()
+    lake = CDCLake(tmp_path, _spec(2), auto_compact_files=None)
+    recs = lake.apply_stream(
+        [rd.from_arrow(_events([("I", 50, a, "a0"), ("U", 100, a, "a1")])),
+         rd.from_arrow(_events([("I", 50, a, "a0")]))],
+        max_inflight=2,
+    )
+    assert [r["committed"] for r in recs] == [True, True]
+    assert _state(lake).to_pandas().set_index("path").loc[a, "lsn"] == 100
+    assert epoch_change_set(lake, recs[1]["epoch"],
+                            carry_cols=["content"]).count() == 0

@@ -169,3 +169,28 @@ def test_snapshot_diff_carry_cols():
     assert out.loc[1, "old_txt"] == "one" and pd.isna(out.loc[1, "new_txt"])
     assert (out.loc[3, ["old_txt", "new_txt"]] == ["three", "THREE"]).all()
     assert pd.isna(out.loc[4, "old_txt"]) and out.loc[4, "new_txt"] == "four"
+
+
+def test_only_merge_module_calls_reduce_kernels():
+    """The winner rule lives in ``stages/merge.resolve``: no other
+    package module calls the reduce kernels directly, so the apply,
+    read, compaction, lookup and change-set paths cannot drift apart."""
+    import ast
+    from pathlib import Path
+
+    import standardized_omop_data_etl_ray as pkg
+
+    kernels = {"lww_reduce_table", "patch_reduce_table"}
+    root = Path(pkg.__file__).parent
+    found = []
+    for src in sorted(root.rglob("*.py")) + [root.parent / "__ray_entry__.py"]:
+        if src == root / "stages" / "merge.py":
+            continue
+        for node in ast.walk(ast.parse(src.read_text(), filename=str(src))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                    f, "id", None)
+                if name in kernels:
+                    found.append(f"{src.name}:{node.lineno} {name}")
+    assert not found, found

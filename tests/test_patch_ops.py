@@ -301,21 +301,45 @@ def test_patch_guards(tmp_path):
                     [True] * t.num_rows)))
 
 
-def test_lww_merge_refuses_patch_spec():
-    """``lww_merge`` keeps whole max-lsn rows: on a patch spec the P row
-    would win whole (lang null, not 'py'), so the spec is refused."""
+def test_lww_merge_folds_patch_spec(tmp_path):
+    """``lww_merge`` on a patch spec folds the P row onto its base, the
+    same as the lake's merge-on-read: lang stays 'py', content is 'b'."""
     from standardized_omop_data_etl_ray.stages.merge import lww_merge
     from standardized_omop_data_etl_ray.stages.standardize import (
         make_standardizer,
     )
 
     spec = _spec(p=2)
-    ev = rd.from_arrow(_events_table([
+    ev = _events_table([
         ("I", 1, "r", "p", "py", "a"),
         ("P", 2, "r", "p", None, "b"),
-    ])).map_batches(make_standardizer(spec), batch_format="pyarrow")
-    with pytest.raises(ValueError, match="patch_reduce_table"):
-        lww_merge(ev, spec).materialize()
+    ])
+    merged = lww_merge(
+        rd.from_arrow(ev).map_batches(make_standardizer(spec),
+                                      batch_format="pyarrow"),
+        spec,
+    ).take_all()
+    assert [(r["lang"], r["content"]) for r in merged] == [("py", "b")]
+    lake = CDCLake(str(tmp_path / "lk"), _spec(p=2))
+    lake.apply_events(rd.from_arrow(ev))
+    assert _state_dict(lake)[("r", "p")]["lang"] == "py"
+    assert _state_dict(lake)[("r", "p")]["content"] == "b"
+
+
+def test_patch_lake_key_only_projection(tmp_path):
+    """A keys-only read of a patch lake folds with no payload column."""
+    lake = CDCLake(str(tmp_path / "lk"), _spec(p=2))
+    lake.apply_events(rd.from_arrow(_events_table([
+        ("I", 1, "r", "a", "py", "a0"),
+        ("P", 2, "r", "a", None, "a1"),
+        ("I", 3, "r", "b", "go", "b0"),
+        ("D", 4, "r", "b", None, None),
+        ("P", 5, "r", "c", None, "c0"),  # base-less: a no-op
+    ])))
+    for cols in (["repo", "path"], []):
+        got = lake.read_state(columns=cols).to_pandas()
+        assert list(got.columns) == ["repo", "path"]
+        assert sorted(got["path"]) == ["a"]
 
 
 def test_patch_op_dlq_validity(tmp_path):
