@@ -20,11 +20,16 @@ Guarantees (tested in tests/test_lake.py):
     (pa.unify_schemas-based, narrowing rejected), resolved at read.
 
 Scale notes (100 TB design): every stage is a streaming ``map_batches``
-over zero-copy Arrow; the only all-to-all exchange per epoch is the
+over zero-copy Arrow.  An epoch whose plan holds ONE block (every
+tailing poll, any byte-sized ``BinlogTail`` window that fits Ray's
+``target_max_block_size``) runs map-only: the combined block is split
+by ``part`` and each partition written in the same task, with no
+exchange.  An epoch of several blocks runs one all-to-all exchange, the
 ``groupby(part)`` whose input was already reduced to ≤ one row per key
-per block by the combiner stage; delta files are written inside the
-per-partition merge tasks (no driver materialization — only the P-row
-stats table returns to the driver).
+per block by the combiner stage.  Compaction never exchanges: each of
+its blocks already holds one partition.  Delta files are written inside
+the map or merge tasks; nothing is materialized in the calling process
+but the ≤ P-row stats table.
 """
 
 from __future__ import annotations
@@ -180,7 +185,11 @@ def _delta_writer(root: str, table: str, epoch: int, spec: TableSpec,
                   cluster_files: int = 1,
                   cluster_by: list[str] | None = None,
                   cluster_order: str = "lex"):
-    """Per-partition merge + phase-1 write, run inside map_groups tasks.
+    """Per-partition merge + phase-1 write: ``write_group(rows)`` takes
+    EVERY row one partition gets this epoch.  It runs inside the
+    exchange's ``map_groups`` tasks (multi-block epochs, reshard) or is
+    called once per partition present by ``_write_partitions`` (map-only
+    epochs, compaction).
 
     Output file names are deterministic per (partition, epoch, slice):
     a task retry overwrites the same paths via ``mf.durable_write`` →
@@ -299,6 +308,36 @@ def _delta_writer(root: str, table: str, epoch: int, spec: TableSpec,
         return pa.Table.from_pylist(infos, schema=_STATS_SCHEMA)
 
     return write_group
+
+
+def _write_partitions(block: pa.Table, write_group) -> pa.Table:
+    """Batch fn body of the exchange-free writes: split ``block`` by
+    ``part`` and call ``write_group`` once per partition present, in
+    partition order.  The split is a stable sort, so each partition's
+    rows reach the writer in block order, as the exchange delivers a
+    one-block epoch.  Only sound when ``block`` holds ALL of each
+    present partition's rows: a second call for the same partition
+    writes the same file names and silently replaces the first."""
+    if block.num_rows == 0:
+        return _STATS_SCHEMA.empty_table()
+    block = block.take(pc.sort_indices(block.column("part")))
+    parts = block.column("part").to_numpy()
+    starts = np.flatnonzero(np.r_[True, parts[1:] != parts[:-1]])
+    ends = np.r_[starts[1:], len(parts)]
+    return pa.concat_tables(
+        [write_group(block.slice(s, e - s)) for s, e in zip(starts, ends)]
+    )
+
+
+def _planned_blocks(ds: rd.Dataset) -> int | None:
+    """The block count of ``ds``'s plan, read from the plan without
+    running anything; ``None`` when Ray cannot say.  Ray 2.49 exposes
+    it only as the private ``Dataset._plan.initial_num_blocks()``, so
+    that call lives here alone; a Ray without it answers ``None``."""
+    try:
+        return ds._plan.initial_num_blocks()
+    except AttributeError:
+        return None
 
 
 class ConcurrentCommitError(RuntimeError):
@@ -1115,6 +1154,23 @@ class CDCLake:
             record["rows_dead_lettered"] = self._dlq_rows(epoch)
         return record
 
+    def _skip_empty(self, epoch: int, stats: list[dict],
+                    record: dict) -> bool:
+        """True when the epoch wrote no file and dead-lettered no row (a
+        full redelivery below the watermarks, an empty batch): it
+        commits nothing, so its record says ``committed: False`` and
+        ``commit_sec`` 0.  When the epoch is this instance's newest
+        claim, its number goes back too (claim file unlinked, allocator
+        rolled back), so the next commit reuses it instead of leaving a
+        gap and a claim above the committed epoch."""
+        if stats or record.get("rows_dead_lettered"):
+            return False
+        record.update(commit_sec=0.0, committed=False)
+        if epoch == self._epoch_hwm:
+            mf.release_epoch(self.root, self.spec.name, epoch)
+            self._epoch_hwm = epoch - 1
+        return True
+
     def apply_events(
         self,
         events: rd.Dataset,
@@ -1125,8 +1181,9 @@ class CDCLake:
 
         A batch that writes no file and dead-letters no row (a full
         redelivery below the watermarks, an empty batch) commits
-        nothing: its record says ``committed: False`` and the manifest,
-        the pointer and ``lineage`` stay as they were.
+        nothing: its record says ``committed: False``, the manifest, the
+        pointer and ``lineage`` stay as they were, and the next commit
+        reuses its epoch number (``_skip_empty``).
 
         ``txn`` defers the commit into a multi-table transaction: phase
         1 runs now (delta files + markers, invisible), the manifest is
@@ -1146,8 +1203,7 @@ class CDCLake:
 
         stats = self._phase1(events, epoch, self._watermarks(m))
         record = self._epoch_record(epoch, stats, t0)
-        if not stats and not record.get("rows_dead_lettered"):
-            record.update(commit_sec=0.0, committed=False)
+        if self._skip_empty(epoch, stats, record):
             return record
         committed = self._commit(m, epoch, stats, record, txn=txn)
         if txn is not None:
@@ -1166,7 +1222,7 @@ class CDCLake:
     ) -> list[dict]:
         """Apply a stream of micro-batch windows with CROSS-EPOCH
         PIPELINING: up to ``max_inflight`` epochs run phase 1 (read →
-        standardize → shuffle → delta writes) concurrently; phase-2
+        standardize → delta writes, see ``_phase1``) concurrently; phase-2
         manifest commits stay strictly ordered.
 
         Safe under the binlog-tailing contract (windows carry disjoint,
@@ -1176,7 +1232,8 @@ class CDCLake:
         deterministic delta writes, exactly as in the crash-retry path.
         Epoch numbers are pre-assigned so delta file names stay
         deterministic; a failure mid-stream leaves later epochs
-        uncommitted (invisible orphans, reclaimed by gc())."""
+        uncommitted (invisible orphans, reclaimed by gc()).  A window
+        that writes nothing commits nothing, as in ``apply_events``."""
         from concurrent.futures import ThreadPoolExecutor
 
         m = mf.read_manifest(self.root, self.spec.name)
@@ -1214,6 +1271,8 @@ class CDCLake:
         # per-file zone maps and grow; a redundant parse per epoch is
         # real cost on the ordered-commit hot path)
         record = self._epoch_record(epoch, stats, t0, commit_wait)
+        if self._skip_empty(epoch, stats, record):
+            return record
         # commit with the epoch's OWN spec snapshot: the live spec may
         # already carry columns from still-uncommitted in-flight windows
         committed = self._commit(None, epoch, stats, record, spec_snap)
@@ -1236,10 +1295,28 @@ class CDCLake:
         wm: np.ndarray,
         spec: TableSpec | None = None,
     ) -> list[dict]:
-        """Phase 1 of one epoch: standardize → combine → shuffle →
-        per-partition delta writes + markers.  No manifest access.
-        Returns ``_STATS_SCHEMA`` rows (one per written file), the only
-        input phase 2 (``_commit``) needs.
+        """Phase 1 of one epoch: standardize → combine → per-partition
+        delta writes + markers.  No manifest access.  Returns
+        ``_STATS_SCHEMA`` rows (one per written file), the only input
+        phase 2 (``_commit``) needs.
+
+        The route is chosen before anything runs, from the plan's
+        block count (``_planned_blocks``).  One block (every
+        tailing poll, every byte-sized ``BinlogTail`` window that fits
+        one block, ``rd.from_arrow(table)``) runs map-only: the same
+        per-block chain, then ``_write_partitions`` splits the combined
+        block by ``part`` in the same task — no exchange.  Several
+        blocks, or a count Ray cannot give, run the ``groupby(part)``
+        exchange into one merge task per partition.
+
+        Ray can still split a planned block at run time (the buffers
+        between fused map stages cut blocks at
+        ``target_max_block_size``), and two map-only calls for one
+        partition write the same file names.  So a map-only run that
+        returns more than one stats row for a partition is rerun
+        through the exchange under the SAME epoch before anything
+        commits; phase-1 writes are deterministic, so the rerun
+        overwrites every name the split run wrote.
 
         ``spec`` is the PER-EPOCH spec snapshot: apply_stream evolves the
         shared spec on the driver thread while earlier windows are still
@@ -1247,6 +1324,7 @@ class CDCLake:
         at its own submit time (else delta file schemas become
         timing-dependent)."""
         spec = spec or self.spec
+        one_block = _planned_blocks(events) == 1
         if self.dead_letter:
             events = events.map_batches(
                 _dead_letter_splitter(self.root, spec.name, epoch, spec,
@@ -1255,20 +1333,26 @@ class CDCLake:
             )
         if self.gate is not None:
             events = events.map_batches(self.gate, batch_format="pyarrow")
-        P = spec.num_partitions
         writer = _delta_writer(self.root, spec.name, epoch, spec)
         std = events.map_batches(
             make_standardizer(spec), batch_format="pyarrow"
         ).map_batches(
             _watermark_filter(wm, spec.lsn_col), batch_format="pyarrow"
         )
-        # per-block combiner: the shuffle moves per-key partials
+        # per-block combiner: the write (or the shuffle) gets per-key
+        # partials
         ev = std.map_batches(lambda b: resolve(b, spec, final=False),
                              batch_format="pyarrow")
-        stats_ds = ev.groupby("part", num_partitions=P).map_groups(
-            writer, batch_format="pyarrow"
-        )
-        return stats_ds.take_all()  # ≤ P tiny rows — phase 1 complete here
+        if one_block:
+            stats = ev.map_batches(
+                lambda b: _write_partitions(b, writer),
+                batch_size=None, batch_format="pyarrow",
+            ).take_all()
+            if len({s["part"] for s in stats}) == len(stats):
+                return stats
+        groups = ev.groupby("part", num_partitions=spec.num_partitions)
+        # ≤ P tiny rows — phase 1 complete here
+        return groups.map_groups(writer, batch_format="pyarrow").take_all()
 
     def _commit_edit(self, planned: dict | None, epoch: int, record: dict,
                      edit, conflict: str,
@@ -2309,7 +2393,7 @@ class CDCLake:
         a parent's delete set).
 
         Scale shape: source rows hash-route to their partitions (ONE
-        shuffle, the same exchange the apply path uses); each
+        shuffle, the same exchange a multi-block epoch uses); each
         partition task probes liveness against its OWN winner keys
         read KEYS-ONLY (column-pruned — payloads never move), so
         untouched partitions are never opened; the synthesized events
@@ -2819,7 +2903,9 @@ class CDCLake:
         apply with e.g. ``max_files=8``).  Old files stay until gc() —
         snapshots are retained (COW); readers of the old manifest are
         unaffected.  Tombstones at or below the stored watermark are
-        dropped (delete-marker GC rule); watermarks survive.
+        dropped (delete-marker GC rule); watermarks survive.  Each
+        partition is read, resolved and rewritten by one map task
+        (``_write_partitions``); compaction runs no exchange.
 
         ``cluster_files=N`` is CLUSTERED compaction: each partition's
         key-sorted output splits into N key-range files, each with its
@@ -2887,20 +2973,21 @@ class CDCLake:
                                cluster_files=cluster_files,
                                cluster_by=cluster_by,
                                cluster_order=cluster_order)
+        # honor_wm: drop only tombstones AT OR BELOW the stored
+        # watermark — a tombstone above it (post-reshard partitions
+        # carry wm = min over old partitions) still guards redelivery
+        # and survives the rewrite
+        resolve_parts = _partition_resolver(schema, self.spec,
+                                            honor_wm=True)
         stats = (
             rd.from_arrow(pa.table({"files": pa.array(part_files),
                                     "wm": pa.array(part_wms, pa.int64())}))
             .repartition(len(part_files))
-            # honor_wm: drop only tombstones AT OR BELOW the stored
-            # watermark — a tombstone above it (post-reshard partitions
-            # carry wm = min over old partitions) still guards
-            # redelivery and survives the rewrite
-            .map_batches(_partition_resolver(schema, self.spec,
-                                             honor_wm=True),
+            # a plan row is a whole partition, so each call resolves
+            # and writes complete partitions: no exchange
+            .map_batches(lambda b: _write_partitions(resolve_parts(b),
+                                                     writer),
                          batch_format="pyarrow")
-            .groupby("part", num_partitions=min(len(part_files),
-                                                self.spec.num_partitions))
-            .map_groups(writer, batch_format="pyarrow")
             .take_all()
         )
         by_part: dict[str, list[dict]] = {}

@@ -26,6 +26,7 @@ from pathlib import Path
 import pyarrow.parquet as pq
 
 import ray.data as rd
+from ray.data import DataContext
 
 _NUM = re.compile(r"(\d+)")
 
@@ -88,10 +89,21 @@ class BinlogTail:
         self, start_after: int = -1, segments_per_window: int = 16
     ):
         """Yield Datasets of whole new segments, ``segments_per_window``
-        at a time (one yield = one micro-batch = one lake epoch)."""
+        at a time (one yield = one micro-batch = one lake epoch).
+
+        A window is read as ``min(segments, ceil(bytes on disk /
+        DataContext.target_max_block_size))`` blocks (one when Ray sets
+        no target): blocks are sized by bytes, not one per segment.  A
+        window that fits one block — a tailing catch-up poll, a small
+        backfill window — is one block, which ``CDCLake`` applies
+        map-only, with no exchange."""
+        target = DataContext.get_current().target_max_block_size
         segs = self.new_segments(start_after)
         for i in range(0, len(segs), segments_per_window):
             chunk = segs[i : i + segments_per_window]
+            size = sum(p.stat().st_size for p in chunk)
+            blocks = (max(1, min(len(chunk), -(-size // target)))
+                      if target else 1)
             yield rd.read_parquet(
-                [str(p) for p in chunk], override_num_blocks=len(chunk)
+                [str(p) for p in chunk], override_num_blocks=blocks
             )

@@ -25,7 +25,9 @@ Distributed shape — a two-stage merge so hot keys never serialize:
       associative and commutative, so block boundaries are arbitrary.
   stage 2 (final): ``groupby(part).map_groups`` — one group per hash
       partition, ``resolve(final=True)`` per key inside the group via a
-      vectorized window (DuckDB C++ over zero-copy Arrow).
+      vectorized window (DuckDB C++ over zero-copy Arrow).  A one-block
+      epoch skips the exchange: the same task splits its block by
+      ``part`` (``pipelines/cdc._write_partitions``).
 
 Determinism: the winner depends only on (key, max lsn) — independent of
 partition count, block boundaries and arrival order, which the tests

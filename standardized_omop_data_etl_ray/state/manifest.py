@@ -159,6 +159,13 @@ def claim_epoch(root: str | Path, table: str, start: int) -> int:
             n += 1
 
 
+def release_epoch(root: str | Path, table: str, n: int) -> None:
+    """Hand back claim ``n`` (``claim_epoch``) of an epoch that wrote
+    nothing, so a later claim can take the number again."""
+    (table_root(root, table) / "_epochs" / f"{n:06d}.claim").unlink(
+        missing_ok=True)
+
+
 def epoch_for_ts(root: str | Path, table: str, ts: float) -> int | None:
     """Timestamp time travel (Delta's TIMESTAMP AS OF): the epoch of
     the LATEST-COMMITTED retained snapshot whose ``committed_at`` is at

@@ -42,10 +42,14 @@ def _spec(p=8):
     return TableSpec(name="cdc", num_partitions=p)
 
 
-def test_replay_matches_oracle_and_lineage(tmp_path):
+@pytest.mark.parametrize("blocks", [1, 3], ids=["one_block", "three_blocks"])
+def test_replay_matches_oracle_and_lineage(tmp_path, blocks):
+    """One block per epoch runs phase 1 map-only, several run the
+    ``part`` exchange; both must replay to the oracle."""
     lake = CDCLake(tmp_path, _spec())
     for b in BATCHES:
-        rec = lake.apply_events(rd.from_arrow(b))
+        ds = rd.from_arrow(b)
+        rec = lake.apply_events(ds if blocks == 1 else ds.repartition(blocks))
         assert rec["committed"]
     assert_states_equal(_state(lake), ORACLE)
     lin = lake.lineage()
