@@ -8,12 +8,13 @@ schema ETL semantics of the reference repo
     commit LSN) are tailed in micro-batches as ``ray.data.Dataset``,
     hash-partitioned by key, and applied via last-writer-wins merge-on-read
     upsert into copy-on-write Parquet lake tables, committed through an
-    idempotent two-phase manifest (per-partition epoch markers + lineage log).
+    idempotent two-phase manifest (per-file stats rows folded into the
+    manifest and its lineage log).
 
 Layout:
     functions/  pure vectorized batch kernels (hashing, dates, parsing, text)
     stages/     Dataset-level transforms (standardize, merge, unpivot, dedup)
-    state/      manifest, markers and bloom sidecars for the lake sink
+    state/      manifest and bloom sidecars for the lake sink
     pipelines/  end-to-end pipelines (CDC replay, compaction, reference ETL)
 
 Everything here derives from public knowledge only: the Ray Data and

@@ -12,8 +12,8 @@ is the single writer for one lake table:
 Guarantees (tested in tests/test_lake.py):
   * exactly-once: re-applying an already-committed window is a no-op
     (per-partition LSN watermarks); a crash between phase 1 (delta files
-    + epoch markers written) and phase 2 (manifest swap) leaves invisible
-    orphans that the retry overwrites deterministically;
+    written) and phase 2 (manifest swap) leaves invisible orphans that
+    the retry overwrites deterministically;
   * determinism: final state is independent of parallelism, partition
     count and micro-batch sizing;
   * schema evolution: later batches may add / widen columns
@@ -48,7 +48,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..functions import hashing
-from ..spec import TableSpec
+from ..spec import TableSpec, _as_arrow_schema
 from ..stages.merge import drop_tombstones, resolve
 from ..stages.standardize import make_standardizer
 from ..state import bloom
@@ -194,6 +194,8 @@ def _delta_writer(root: str, table: str, epoch: int, spec: TableSpec,
     Output file names are deterministic per (partition, epoch, slice):
     a task retry overwrites the same paths via ``mf.durable_write`` →
     idempotent, and each file is durable before its stats row returns.
+    The stats rows are phase 1's one record: phase 2 folds them into
+    the manifest's partition entries and the epoch's lineage record.
 
     ``cluster_files > 1`` splits the partition's output into that many
     files, each with its own zone map.  Default slicing is KEY-RANGE
@@ -211,7 +213,12 @@ def _delta_writer(root: str, table: str, epoch: int, spec: TableSpec,
     def write_group(group: pa.Table) -> pa.Table:
         hashing.tune_worker_threads()
         part = int(group.column("part")[0].as_py())
-        events_seen = group.num_rows
+        # the combiner's per-block event counts (``_combiner``); absent
+        # on compaction and reshard, which rewrite rows, not events
+        events_seen = 0
+        if "__seen" in group.column_names:
+            events_seen = int(pc.sum(group.column("__seen")).as_py() or 0)
+            group = group.drop_columns(["__seen"])
         # subset-safe: a patch lake's delta keeps, per key, the max-lsn
         # full row PLUS every patch above it — folding happens only at
         # terminal reads, where all epochs are present
@@ -293,18 +300,6 @@ def _delta_writer(root: str, table: str, epoch: int, spec: TableSpec,
                 "events_seen": events_seen if i == 0 else 0,
                 "stats": json.dumps(fstats),
             })
-        # ONE marker per (epoch, partition): aggregate across slices so
-        # the durable audit record reflects the whole partition
-        info = dict(infos[0])
-        info.update(
-            rows=sum(x["rows"] for x in infos),
-            tombstones=sum(x["tombstones"] for x in infos),
-            patches=sum(x["patches"] for x in infos),
-            bytes=sum(x["bytes"] for x in infos),
-            watermark=max(x["watermark"] for x in infos),
-            files_all=[x["file"] for x in infos],
-        )
-        mf.write_marker(root, table, epoch, part, info)
         return pa.Table.from_pylist(infos, schema=_STATS_SCHEMA)
 
     return write_group
@@ -327,6 +322,35 @@ def _write_partitions(block: pa.Table, write_group) -> pa.Table:
     return pa.concat_tables(
         [write_group(block.slice(s, e - s)) for s, e in zip(starts, ends)]
     )
+
+
+def _combiner(spec: TableSpec):
+    """Batch fn of phase 1's per-block combiner: ``resolve`` the block
+    to per-key partials, and carry the block's event count per
+    partition in an ``__seen`` column (on the first row of each
+    partition present, 0 elsewhere) that ``write_group`` sums and
+    drops.  So ``events_seen`` counts the events that passed the
+    watermark filter, however the window is cut into blocks."""
+
+    def combine(batch: pa.Table) -> pa.Table:
+        out = resolve(batch, spec, final=False)
+        parts, first = np.unique(out.column("part").to_numpy(),
+                                 return_index=True)
+        seen = np.zeros(out.num_rows, np.int64)
+        seen[first] = np.bincount(batch.column("part").to_numpy())[parts]
+        return out.append_column("__seen", pa.array(seen))
+
+    return combine
+
+
+def _arrow_blocks(ds: rd.Dataset):
+    """Yield ``ds``'s non-empty blocks as Arrow tables.  Block
+    iteration runs the plan once; ``to_arrow_refs()`` first probes the
+    schema, and a lake read's schema Ray cannot infer, so that reruns
+    the plan's last stage under ``limit(1)``."""
+    for t in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        if t.num_rows:
+            yield t
 
 
 def _planned_blocks(ds: rd.Dataset) -> int | None:
@@ -1117,29 +1141,52 @@ class CDCLake:
                 p.unlink()
         self._writer_token = None
 
-    def _strip_dropped(self, events: rd.Dataset) -> rd.Dataset:
-        """A DDL-dropped column must not re-enter via schema evolution:
-        strip it (and its pre-rename source name) from arriving events
-        before any schema probe."""
-        if not self.dropped_cols:
-            return events
-        from ..stages.joins import _as_arrow_schema
+    def _begin_epoch(
+        self, events: rd.Dataset
+    ) -> tuple[rd.Dataset, TableSpec, int]:
+        """Driver side of a data epoch before phase 1, shared by
+        ``apply_events`` and ``apply_stream``: probe the window's schema
+        ONCE (``_as_arrow_schema``: pandas-block datasets report numpy
+        dtypes), strip DDL-dropped columns (and their pre-rename source
+        names) so they cannot re-enter via schema evolution, evolve the
+        spec, then freeze a per-epoch snapshot of it and claim the epoch
+        number.  Returns ``(events, spec snapshot, epoch)``."""
+        from dataclasses import replace as _dc_replace
 
+        schema = _as_arrow_schema(events.schema())
         rev = {v: k for k, v in self.spec.rename.items()}
-        names = set(_as_arrow_schema(events.schema()).names)
         todrop = sorted({
             n for c in self.dropped_cols
-            for n in (c, rev.get(c)) if n and n in names
+            for n in (c, rev.get(c)) if n and n in schema.names
         })
-        return events.drop_columns(todrop) if todrop else events
+        if todrop:
+            events = events.drop_columns(todrop)
+            schema = pa.schema([f for f in schema if f.name not in todrop])
+        self.spec.schema = self.spec.evolve(self.spec.apply_rename(schema))
+        return events, _dc_replace(self.spec), self._alloc_epoch()
 
-    def _epoch_record(self, epoch: int, stats: list[dict], t0: float,
-                      commit_wait: float = 0.0) -> dict:
-        """The one lineage-record builder for a data epoch, shared by
-        ``apply_events`` and ``apply_stream``.  ``commit_wait`` is the
-        time the ordered committer blocked on the epoch's phase-1
-        future (0 when phase 1 ran inline); the caller adds
-        ``commit_sec`` and ``committed`` once phase 2 is done."""
+    def _finish_epoch(self, epoch: int, spec: TableSpec,
+                      stats: list[dict], t0: float, wm: np.ndarray, *,
+                      commit_wait: float = 0.0, prev: dict | None = None,
+                      txn: "LakeTransaction | None" = None) -> dict:
+        """Driver side of a data epoch after phase 1, shared by
+        ``apply_events`` and ``apply_stream``: the one lineage-record
+        builder and commit of a data epoch.  ``commit_wait`` is the time
+        the ordered committer blocked on the epoch's phase-1 future (0
+        when phase 1 ran inline).  The epoch commits with its OWN spec
+        snapshot (the live spec may already carry columns from
+        still-uncommitted in-flight windows), then tightens ``wm`` and
+        runs the autocompaction hook.  With ``txn`` the manifest is
+        folded against ``prev`` and staged instead, and the record says
+        ``committed: False`` until ``txn.commit()``.
+
+        An epoch that wrote no file and dead-lettered no row (a full
+        redelivery below the watermarks, an empty batch) commits
+        nothing: ``committed: False``, ``commit_sec`` 0.  When it is
+        this instance's newest claim its number goes back too (claim
+        file unlinked, allocator rolled back), so the next commit reuses
+        it instead of leaving a gap and a claim above the committed
+        epoch."""
         record = {
             "epoch": epoch,
             "partitions_touched": len(stats),
@@ -1152,24 +1199,28 @@ class CDCLake:
         }
         if self.dead_letter:
             record["rows_dead_lettered"] = self._dlq_rows(epoch)
+        if not stats and not record.get("rows_dead_lettered"):
+            record.update(commit_sec=0.0, committed=False)
+            if epoch == self._epoch_hwm:
+                mf.release_epoch(self.root, self.spec.name, epoch)
+                self._epoch_hwm = epoch - 1
+            return record
+        committed = self._commit(prev, epoch, stats, record, spec, txn)
+        if txn is not None:
+            record["committed"] = False  # until txn.commit()
+            txn._track(record)
+            return record
+        # tighten the shared watermark snapshot so windows submitted
+        # AFTER this commit filter against it (in-flight windows keep
+        # their own copies — still safe, they can only under-drop, and
+        # redeliveries die in the per-key LWW merge); without this a
+        # long stream re-writes straddling rows into new delta files
+        # every epoch
+        for s in stats:
+            wm[s["part"]] = max(wm[s["part"]], s["watermark"])
+        record["committed"] = True
+        self._maybe_autocompact(committed)
         return record
-
-    def _skip_empty(self, epoch: int, stats: list[dict],
-                    record: dict) -> bool:
-        """True when the epoch wrote no file and dead-lettered no row (a
-        full redelivery below the watermarks, an empty batch): it
-        commits nothing, so its record says ``committed: False`` and
-        ``commit_sec`` 0.  When the epoch is this instance's newest
-        claim, its number goes back too (claim file unlinked, allocator
-        rolled back), so the next commit reuses it instead of leaving a
-        gap and a claim above the committed epoch."""
-        if stats or record.get("rows_dead_lettered"):
-            return False
-        record.update(commit_sec=0.0, committed=False)
-        if epoch == self._epoch_hwm:
-            mf.release_epoch(self.root, self.spec.name, epoch)
-            self._epoch_hwm = epoch - 1
-        return True
 
     def apply_events(
         self,
@@ -1183,36 +1234,19 @@ class CDCLake:
         redelivery below the watermarks, an empty batch) commits
         nothing: its record says ``committed: False``, the manifest, the
         pointer and ``lineage`` stay as they were, and the next commit
-        reuses its epoch number (``_skip_empty``).
+        reuses its epoch number (``_finish_epoch``).
 
         ``txn`` defers the commit into a multi-table transaction: phase
-        1 runs now (delta files + markers, invisible), the manifest is
-        STAGED, and visibility arrives only at ``txn.commit()`` —
-        atomically with every other table in the transaction."""
+        1 runs now (delta files, invisible), the manifest is STAGED, and
+        visibility arrives only at ``txn.commit()`` — atomically with
+        every other table in the transaction."""
         t0 = time.time()
         m = mf.read_manifest(self.root, self.spec.name)
-        epoch = self._alloc_epoch()
-
-        # schema evolution: unify incoming event schema into the spec
-        # (_as_arrow_schema: pandas-block datasets report numpy dtypes)
-        from ..stages.joins import _as_arrow_schema
-
-        events = self._strip_dropped(events)
-        inc_schema = self.spec.apply_rename(_as_arrow_schema(events.schema()))
-        self.spec.schema = self.spec.evolve(inc_schema)
-
-        stats = self._phase1(events, epoch, self._watermarks(m))
-        record = self._epoch_record(epoch, stats, t0)
-        if self._skip_empty(epoch, stats, record):
-            return record
-        committed = self._commit(m, epoch, stats, record, txn=txn)
-        if txn is not None:
-            record["committed"] = False  # until txn.commit()
-            txn._track(record)
-            return record
-        record["committed"] = True
-        self._maybe_autocompact(committed)
-        return record
+        wm = self._watermarks(m)
+        events, spec, epoch = self._begin_epoch(events)
+        stats = self._phase1(events, epoch, wm, spec)
+        return self._finish_epoch(epoch, spec, stats, t0, wm, prev=m,
+                                  txn=txn)
 
     def apply_stream(
         self,
@@ -1241,20 +1275,12 @@ class CDCLake:
         records: list[dict] = []
 
         with ThreadPoolExecutor(max_workers=max_inflight) as ex:
-            pending: list[tuple[int, object, float]] = []
-            for i, w in enumerate(windows):
-                from ..stages.joins import _as_arrow_schema
-
-                w = self._strip_dropped(w)
-                self.spec.schema = self.spec.evolve(
-                    self.spec.apply_rename(_as_arrow_schema(w.schema()))
-                )
-                from dataclasses import replace as _dc_replace
-
-                spec_snap = _dc_replace(self.spec)  # freeze per-window
-                epoch = self._alloc_epoch()
-                fut = ex.submit(self._phase1, w, epoch, wm.copy(), spec_snap)
-                pending.append((epoch, fut, time.time(), spec_snap))
+            pending: list[tuple] = []
+            for w in windows:
+                t0 = time.time()
+                w, spec, epoch = self._begin_epoch(w)
+                fut = ex.submit(self._phase1, w, epoch, wm.copy(), spec)
+                pending.append((epoch, spec, t0, fut))
                 while len(pending) >= max_inflight:
                     records.append(self._commit_next(pending, wm))
             while pending:
@@ -1262,43 +1288,27 @@ class CDCLake:
         return records
 
     def _commit_next(self, pending, wm: np.ndarray) -> dict:
-        epoch, fut, t0, spec_snap = pending.pop(0)
+        epoch, spec, t0, fut = pending.pop(0)
         t_wait = time.time()
         stats = fut.result()
-        commit_wait = time.time() - t_wait
         # no manifest read here: the non-txn _commit re-reads it inside
         # the commit lock anyway (review finding — manifests carry
         # per-file zone maps and grow; a redundant parse per epoch is
         # real cost on the ordered-commit hot path)
-        record = self._epoch_record(epoch, stats, t0, commit_wait)
-        if self._skip_empty(epoch, stats, record):
-            return record
-        # commit with the epoch's OWN spec snapshot: the live spec may
-        # already carry columns from still-uncommitted in-flight windows
-        committed = self._commit(None, epoch, stats, record, spec_snap)
-        # tighten the shared watermark snapshot so windows submitted
-        # AFTER this commit filter against it (in-flight windows keep
-        # their own copies — still safe, they can only under-drop, and
-        # redeliveries die in the per-key LWW merge); without this a
-        # long stream re-writes straddling rows into new delta files
-        # every epoch
-        for s in stats:
-            wm[s["part"]] = max(wm[s["part"]], s["watermark"])
-        record["committed"] = True
-        self._maybe_autocompact(committed)
-        return record
+        return self._finish_epoch(epoch, spec, stats, t0, wm,
+                                  commit_wait=time.time() - t_wait)
 
     def _phase1(
         self,
         events: rd.Dataset,
         epoch: int,
         wm: np.ndarray,
-        spec: TableSpec | None = None,
+        spec: TableSpec,
     ) -> list[dict]:
         """Phase 1 of one epoch: standardize → combine → per-partition
-        delta writes + markers.  No manifest access.  Returns
-        ``_STATS_SCHEMA`` rows (one per written file), the only input
-        phase 2 (``_commit``) needs.
+        delta writes.  No manifest access.  Returns ``_STATS_SCHEMA``
+        rows (one per written file), the only input phase 2
+        (``_commit``) needs and the one record of what phase 1 wrote.
 
         The route is chosen before anything runs, from the plan's
         block count (``_planned_blocks``).  One block (every
@@ -1318,12 +1328,11 @@ class CDCLake:
         commits; phase-1 writes are deterministic, so the rerun
         overwrites every name the split run wrote.
 
-        ``spec`` is the PER-EPOCH spec snapshot: apply_stream evolves the
-        shared spec on the driver thread while earlier windows are still
-        in flight, so phase 1 must standardize against the schema frozen
-        at its own submit time (else delta file schemas become
-        timing-dependent)."""
-        spec = spec or self.spec
+        ``spec`` is the PER-EPOCH spec snapshot (``_begin_epoch``):
+        apply_stream evolves the shared spec on the driver thread while
+        earlier windows are still in flight, so phase 1 must standardize
+        against the schema frozen at its own submit time (else delta
+        file schemas become timing-dependent)."""
         one_block = _planned_blocks(events) == 1
         if self.dead_letter:
             events = events.map_batches(
@@ -1341,8 +1350,7 @@ class CDCLake:
         )
         # per-block combiner: the write (or the shuffle) gets per-key
         # partials
-        ev = std.map_batches(lambda b: resolve(b, spec, final=False),
-                             batch_format="pyarrow")
+        ev = std.map_batches(_combiner(spec), batch_format="pyarrow")
         if one_block:
             stats = ev.map_batches(
                 lambda b: _write_partitions(b, writer),
@@ -1401,7 +1409,7 @@ class CDCLake:
         return manifest
 
     def _commit(self, prev: dict | None, epoch: int, stats: list[dict],
-                record: dict, spec: TableSpec | None = None,
+                record: dict, spec: TableSpec,
                 txn: "LakeTransaction | None" = None) -> dict:
         """Phase 2 of a data epoch: fold its files into the manifest
         (the ``"data"`` edit).  Without ``txn`` the fold runs against
@@ -1414,7 +1422,6 @@ class CDCLake:
         ``commit_wait_sec``, the wait on the epoch's distributed phase
         1, which scales with the cluster."""
         t_commit = time.time()
-        spec = spec or self.spec
 
         def fold(cur: dict) -> dict:
             partitions = dict(cur.get("partitions", {}))
@@ -1966,8 +1973,8 @@ class CDCLake:
         data movement; a later gc on either side unlinks only its own
         directory entry, never the shared inode.  Both sides then
         evolve independently (dev branches, backfill experiments,
-        point-in-time forks).  Lineage up to the fork point is carried;
-        markers (the phase-1 audit trail) stay with the source.
+        point-in-time forks).  Lineage up to the fork point is
+        carried.
 
         On an object store this becomes a server-side copy or a
         manifest-level shallow clone — the manifest only stores
@@ -2126,7 +2133,7 @@ class CDCLake:
         changes = nonempty_arrow_blocks(changes)
         conflicts = 0
         if on_conflict != "theirs":
-            from ..stages.joins import _as_arrow_schema, partitioned_hash_join
+            from ..stages.joins import partitioned_hash_join
 
             mine = self.changes_between(fork_epoch)
 
@@ -3107,16 +3114,7 @@ class CDCLake:
         d = out / f"span={last:06d}-{cur:06d}"
         mf.make_dirs(d)  # an empty span still links the chain
         n = 0
-        import ray as _ray
-
-        for i, ref in enumerate(diff.to_arrow_refs()):
-            t = _ray.get(ref)
-            if not isinstance(t, pa.Table):
-                import pandas as _pd
-
-                t = pa.Table.from_pandas(t, preserve_index=False)
-            if t.num_rows == 0:
-                continue
+        for i, t in enumerate(_arrow_blocks(diff)):
             mf.durable_write(d / f"changes-{i:05d}.parquet",
                              lambda tmp: pq.write_table(t, tmp))
             n += t.num_rows

@@ -35,7 +35,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ..pipelines.cdc import CDCLake
+from ..pipelines.cdc import CDCLake, _arrow_blocks
 from ..stages.incremental import (
     IncAggSpec,
     IncJoinSpec,
@@ -54,16 +54,7 @@ def _write_rows(root: Path, name: str, gen: int, ds: rd.Dataset) -> list[str]:
     """Write a Dataset's rows as one generation of COW parquet files."""
     d = root / f"{name}-g{gen:06d}"
     files = []
-    for i, ref in enumerate(ds.to_arrow_refs()):
-        import ray
-
-        t = ray.get(ref)
-        if not isinstance(t, pa.Table):
-            import pandas as pd
-
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        if t.num_rows == 0:
-            continue
+    for i, t in enumerate(_arrow_blocks(ds)):
         f = d / f"rows-{i:05d}.parquet"
         mf.durable_write(f, lambda tmp: pq.write_table(t, tmp))
         files.append(str(f.relative_to(root)))
@@ -537,17 +528,8 @@ class MaterializedIndexView(_ViewBase):
         else:
             # incremental: ONE net change set names the touched
             # buckets; untouched bucket files carry forward unread
-            refs = self.lake.changes_between(
-                last, cur, carry_cols=[col]
-            ).to_arrow_refs()
-            tabs = []
-            for t in ray.get(refs):
-                if not isinstance(t, pa.Table):
-                    import pandas as pd
-
-                    t = pa.Table.from_pandas(t, preserve_index=False)
-                if t.num_rows:
-                    tabs.append(t)
+            tabs = list(_arrow_blocks(
+                self.lake.changes_between(last, cur, carry_cols=[col])))
             files = dict(m["files"])
             if not tabs:
                 self._commit({**m, "gen": gen, "epochs": {"source": cur}})

@@ -115,6 +115,37 @@ class TableSpec:
         return unified
 
 
+def _as_arrow_schema(schema) -> pa.Schema:
+    """Normalize a Dataset schema to Arrow: pandas-block datasets (e.g.
+    the output of a map_groups) report numpy dtypes.
+
+    Convention: numpy ``object`` dtype maps to ``pa.string()`` — that is
+    what pandas blocks report for string columns.  An object column
+    holding NON-strings (e.g. list-valued embeddings out of a pandas
+    stage) is indistinguishable here and would be mangled by a later
+    ``cast``; callers with such columns must pass an explicit schema
+    (the joins' ``left_schema``/``right_schema``).  Any other
+    unconvertible dtype raises immediately rather than silently
+    degrading to string."""
+    types = []
+    for name, t in zip(schema.names, schema.types):
+        if isinstance(t, pa.DataType):
+            types.append(t)
+            continue
+        try:
+            types.append(pa.from_numpy_dtype(t))
+        except (pa.ArrowNotImplementedError, TypeError, ValueError):
+            if getattr(t, "kind", None) == "O":
+                types.append(pa.string())  # pandas string convention
+            else:
+                raise TypeError(
+                    f"column {name!r}: numpy dtype {t!r} has no Arrow "
+                    "mapping — pass an explicit left_schema/right_schema "
+                    "(or convert the stage producing it to Arrow blocks)"
+                )
+    return pa.schema(list(zip(schema.names, types)))
+
+
 class SchemaEvolutionError(ValueError):
     pass
 

@@ -22,6 +22,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ..spec import _as_arrow_schema
+
 _BCAST_CACHE: dict[str, object] = {}
 _BCAST_CACHE_MAX = 64  # bounded: long-running tailing workers would
 # otherwise retain every epoch's broadcast (e.g. winner sets) forever
@@ -383,36 +385,6 @@ def _mix64(x):
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
-
-
-def _as_arrow_schema(schema) -> pa.Schema:
-    """Normalize a Dataset schema to Arrow: pandas-block datasets (e.g.
-    the output of a map_groups) report numpy dtypes.
-
-    Convention: numpy ``object`` dtype maps to ``pa.string()`` — that is
-    what pandas blocks report for string columns.  An object column
-    holding NON-strings (e.g. list-valued embeddings out of a pandas
-    stage) is indistinguishable here and would be mangled by a later
-    ``cast``; callers with such columns must pass an explicit
-    ``left_schema``/``right_schema``.  Any other unconvertible dtype
-    raises immediately rather than silently degrading to string."""
-    types = []
-    for name, t in zip(schema.names, schema.types):
-        if isinstance(t, pa.DataType):
-            types.append(t)
-            continue
-        try:
-            types.append(pa.from_numpy_dtype(t))
-        except (pa.ArrowNotImplementedError, TypeError, ValueError):
-            if getattr(t, "kind", None) == "O":
-                types.append(pa.string())  # pandas string convention
-            else:
-                raise TypeError(
-                    f"column {name!r}: numpy dtype {t!r} has no Arrow "
-                    "mapping — pass an explicit left_schema/right_schema "
-                    "(or convert the stage producing it to Arrow blocks)"
-                )
-    return pa.schema(list(zip(schema.names, types)))
 
 
 def _null_bytes_per_row(schema: pa.Schema) -> float:

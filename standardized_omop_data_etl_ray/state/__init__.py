@@ -1,1 +1,1 @@
-"""Durable state: lake manifests, epoch markers, lineage."""
+"""Durable state: lake manifests, lineage, bloom sidecars."""

@@ -7,22 +7,22 @@ pipeline_process_subtables_to_final.py:11-54,156-158).  Ours upgrades that
 to an idempotent two-phase commit (SURVEY.md §7.3 step 4):
 
   phase 1  each partition's merge task writes its epoch delta file under a
-           DETERMINISTIC name (`part=<p>/epoch=<e>/delta.parquet`) plus a
-           per-partition epoch marker JSON
-           (`_markers/epoch-<e>.part-<p>.json`: file list, watermark LSN,
-           row/tombstone/byte counts, content-sha rollup = lineage);
+           DETERMINISTIC name (`part=<p>/epoch=<e>/delta.parquet`) and
+           returns one stats row per file to the driver (file, watermark
+           LSN, row/tombstone/byte counts, zone map, content-sha rollup);
   phase 2  the driver writes a new root manifest
-           (`_manifests/manifest-<e>.json`) referencing exactly the files
-           named by the markers, then atomically swaps the `MANIFEST`
-           pointer file via rename.
+           (`_manifests/manifest-<e>.json`) that folds exactly those
+           stats rows into its partition entries and its lineage record,
+           then atomically swaps the `MANIFEST` pointer file via rename.
+           The manifest is the one durable record of the epoch.
 
 Every one of those files — and the lake's cursors, dead-letter files,
 changefeed spans and view files — lands through ``durable_write``: a
 uniquely named ``.tmp`` sibling is filled, fsynced, renamed over the
 final name, and the directory is fsynced; each directory it creates has
 its parent fsynced.  So a file is durable before any later write (a
-marker, a manifest, a cursor) can name it, and a power loss after a
-commit returns cannot leave the commit naming an empty or missing file.
+manifest, a cursor) can name it, and a power loss after a commit
+returns cannot leave the commit naming an empty or missing file.
 Leftover temps from crashed writers are reclaimed by ``sweep_temps``.
 
 Readers resolve `MANIFEST` → root manifest → file list; any file not in
@@ -301,13 +301,6 @@ def commit_manifest(root: str | Path, table: str, manifest: dict) -> None:
     _swap_pointer(troot, name)
 
 
-def write_marker(root: str | Path, table: str, epoch: int, part: int, info: dict) -> None:
-    """Phase 1 (called from the partition merge task): durable per-partition
-    epoch marker — the lineage record for this (epoch, partition)."""
-    _write_json(table_root(root, table) / "_markers"
-                / f"epoch-{epoch:06d}.part-{part:05d}.json", info)
-
-
 def live_files(root: str | Path, table: str, manifest: dict) -> list[str]:
     troot = table_root(root, table)
     files: list[str] = []
@@ -318,8 +311,8 @@ def live_files(root: str | Path, table: str, manifest: dict) -> list[str]:
 
 def gc(root: str | Path, table: str, retain_manifests: int = 1) -> list[str]:
     """Delete data files not referenced by a RETAINED manifest (orphans
-    from crashed epochs, superseded pre-compaction deltas).  Markers and
-    old manifests are kept as the audit/lineage trail.
+    from crashed epochs, superseded pre-compaction deltas).  Old
+    manifests are kept as the audit/lineage trail.
 
     ``retain_manifests`` is the time-travel retention window (Delta-Lake
     VACUUM semantics): files referenced by any of the newest K manifest

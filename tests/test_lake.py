@@ -1,7 +1,7 @@
 """Lake semantics: exactly-once, crash/resume, schema evolution, compaction.
 
 The north rule's sink guarantees (BASELINE.json): idempotent two-phase
-manifest commit, per-partition epoch markers + lineage, resumability from
+manifest commit, per-epoch lineage records, resumability from
 the last checkpoint manifest after induced failures, replay-equivalence
 to the single-process oracle.
 """
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 import ray
 import ray.data as rd
@@ -55,11 +56,39 @@ def test_replay_matches_oracle_and_lineage(tmp_path, blocks):
     lin = lake.lineage()
     assert len(lin) == len(BATCHES)
     assert all("rows_upserted" in r and "wall_sec" in r for r in lin)
-    # per-partition epoch markers exist on disk (phase-1 lineage)
-    markers = list((Path(tmp_path) / "cdc" / "_markers").glob("*.json"))
-    assert markers
-    info = json.loads(markers[0].read_text())
-    assert {"part", "epoch", "watermark", "sha_rollup"} <= set(info)
+    # the manifest is the one record of phase 1: no marker files
+    assert not (Path(tmp_path) / "cdc" / "_markers").exists()
+
+
+def test_lake_read_blocks_resolve_each_partition_once(tmp_path, monkeypatch):
+    """``read_state()``'s schema cannot be inferred from its plan, so
+    ``to_arrow_refs()`` reruns the resolver under ``limit(1)``; the
+    package's block loops over lake reads run it once per partition.
+    The resolver counts its calls in a file (it runs in Ray workers)."""
+    from standardized_omop_data_etl_ray.pipelines import cdc, views
+
+    lake = CDCLake(tmp_path / "lake", _spec(4))
+    for b in BATCHES[:2]:
+        lake.apply_events(rd.from_arrow(b))
+    calls = tmp_path / "resolver_calls"
+    real = cdc._partition_resolver
+
+    def counting(*args, **kwargs):
+        fn = real(*args, **kwargs)
+
+        def resolve_partition(batch):
+            with open(calls, "a") as f:
+                f.write("x\n")
+            return fn(batch)
+
+        return resolve_partition
+
+    monkeypatch.setattr(cdc, "_partition_resolver", counting)
+    state = lake.read_state()
+    files = views._write_rows(tmp_path / "view", "v", 1, state)
+    assert len(calls.read_text().split()) == 4
+    rows = sum(pq.read_metadata(tmp_path / "view" / f).num_rows for f in files)
+    assert rows == _state(lake).num_rows
 
 
 def test_exactly_once_replay_is_noop(tmp_path):
@@ -86,7 +115,7 @@ def test_crash_between_phase1_and_phase2_then_resume(tmp_path, monkeypatch):
     committed = canonical_state(_state(lake))
     epoch = mf.read_manifest(str(tmp_path), "cdc")["epoch"] + 1
 
-    # crash: phase-1 files + markers written (by the workers), then the
+    # crash: phase-1 files written (by the workers), then the
     # driver dies at its first root-manifest write
     real = mf.durable_write
 
@@ -2700,16 +2729,16 @@ def test_concurrent_commit_rebase_preserves_both(tmp_path):
     m_stale = mf.read_manifest(str(tmp_path), "cdc")
     e_a = lake_a._alloc_epoch()
     stats_a = lake_a._phase1(rd.from_arrow(BATCHES[1]), e_a,
-                             lake_a._watermarks(m_stale))
+                             lake_a._watermarks(m_stale), lake_a.spec)
     e_b = lake_b._alloc_epoch()
     assert e_b > e_a
     stats_b = lake_b._phase1(rd.from_arrow(BATCHES[2]), e_b,
-                             lake_b._watermarks(m_stale))
+                             lake_b._watermarks(m_stale), lake_b.spec)
     # A commits first (cur.epoch < e_a: plain fold) ...
-    lake_a._commit(m_stale, e_a, stats_a, {"epoch": e_a})
+    lake_a._commit(m_stale, e_a, stats_a, {"epoch": e_a}, lake_a.spec)
     # ... then B commits with its STALE prev: the rebase must fold
     # against the CURRENT manifest, keeping A's files
-    lake_b._commit(m_stale, e_b, stats_b, {"epoch": e_b})
+    lake_b._commit(m_stale, e_b, stats_b, {"epoch": e_b}, lake_b.spec)
 
     m = mf.read_manifest(str(tmp_path), "cdc")
     assert m["epoch"] == e_b
@@ -2748,10 +2777,10 @@ def test_concurrent_commit_inversion_refused(tmp_path):
     m_stale = mf.read_manifest(str(tmp_path), "cdc")
     e_a = lake_a._alloc_epoch()          # older claim
     stats_a = lake_a._phase1(rd.from_arrow(BATCHES[1]), e_a,
-                             lake_a._watermarks(m_stale))
+                             lake_a._watermarks(m_stale), lake_a.spec)
     lake_b.apply_events(rd.from_arrow(BATCHES[2]))  # newer claim commits
     with pytest.raises(ConcurrentCommitError, match="lost the commit"):
-        lake_a._commit(m_stale, e_a, stats_a, {"epoch": e_a})
+        lake_a._commit(m_stale, e_a, stats_a, {"epoch": e_a}, lake_a.spec)
 
     # the refused epoch's files are invisible and reclaimable
     m = mf.read_manifest(str(tmp_path), "cdc")

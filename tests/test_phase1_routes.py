@@ -44,7 +44,8 @@ def test_map_only_and_exchange_write_identical_files(tmp_path):
         ds1, ds3 = rd.from_arrow(b), rd.from_arrow(b).repartition(3)
         assert (_planned_blocks(ds1), _planned_blocks(ds3)) == (1, 3)
         r1, r3 = one.apply_events(ds1), many.apply_events(ds3)
-        for k in ("rows_upserted", "tombstones", "partitions_touched"):
+        for k in ("rows_upserted", "tombstones", "partitions_touched",
+                  "events_seen"):
             assert r1[k] == r3[k], k
     h1 = _file_hashes(tmp_path / "one" / "cdc")
     h3 = _file_hashes(tmp_path / "many" / "cdc")

@@ -1,9 +1,8 @@
 """Task-retry idempotence: the per-partition delta writer must produce
-byte-identical files and markers when re-executed on the same group
+byte-identical files and stats rows when re-executed on the same group
 (Ray retries a failed task; the deterministic name + atomic rename must
 make the retry invisible)."""
 
-import json
 from pathlib import Path
 
 import pyarrow as pa
@@ -31,13 +30,10 @@ def test_write_group_retry_is_byte_identical(tmp_path):
     info1 = writer(group).to_pylist()[0]
     f = Path(tmp_path) / "t" / info1["file"]
     bytes1 = f.read_bytes()
-    marker = Path(tmp_path) / "t" / "_markers" / "epoch-000001.part-00000.json"
-    marker1 = marker.read_text()
 
     info2 = writer(group).to_pylist()[0]  # simulated task retry
     assert info2 == info1
     assert f.read_bytes() == bytes1
-    assert json.loads(marker.read_text()) == json.loads(marker1)
 
 
 def test_regex_extract_key():
